@@ -3,7 +3,8 @@
 # whole tree (coroutine-lifetime / determinism / register-map invariants),
 # a clang-tidy baseline diff (skipped when clang-tidy is not installed),
 # full test suite (soak label excluded — run `ctest -L soak` for the long
-# fault campaigns), a sanitizer pass over the fault and collective suites,
+# fault campaigns), the repository benchmark self-test (perfbench/), a
+# sanitizer pass over the fault and collective suites,
 # a TSan pass over the sharded-scheduler suite (epoch-mode worker threads;
 # skipped when the toolchain or kernel can't run TSan binaries),
 # a ~1 s bench_sim_core smoke run (scheduler speedup tripwire + allocation,
@@ -35,6 +36,12 @@ scripts/clang_tidy.sh "$BUILD"
 
 echo "== tests =="
 ctest --preset check -j "$(nproc)"
+
+echo "== repository benchmark self-test =="
+# Builds perfbench/ (its own Release tree over src/) and smoke-runs every
+# workload: a src/ change that breaks the benchmark's build, its metric
+# names, or traced/untraced digest equality fails here.
+python3 perfbench/selftest.py
 
 echo "== fault suites under ASan/UBSan =="
 SAN_BUILD=build-check-asan

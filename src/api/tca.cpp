@@ -79,7 +79,8 @@ Result<Buffer> Runtime::alloc_host(std::uint32_t node, std::uint64_t bytes) {
   auto& cursor = host_alloc_cursor_[node];
   const std::uint64_t base = (cursor + 255) & ~255ull;
   const auto& region = cluster_->driver(node).host_layout();
-  if (base + bytes > region.dma_buffer_bytes) {
+  if (base > region.dma_buffer_bytes ||
+      bytes > region.dma_buffer_bytes - base) {
     return Status{ErrorCode::kResourceExhausted, "host DMA region exhausted"};
   }
   cursor = base + bytes;
@@ -119,10 +120,22 @@ Status Runtime::validate(const Buffer& buf, std::uint64_t offset,
   if (buf.node >= node_count()) {
     return {ErrorCode::kInvalidArgument, "buffer on unknown node"};
   }
-  if (offset + bytes > buf.size) {
+  if (offset > buf.size || bytes > buf.size - offset) {
     return {ErrorCode::kOutOfRange, "access outside buffer"};
   }
   return Status::ok();
+}
+
+Status Runtime::validate_strided(const Buffer& buf, std::uint64_t offset,
+                                 std::uint64_t stride,
+                                 std::uint64_t block_bytes,
+                                 std::uint32_t count) const {
+  std::uint64_t last_block = 0;  // offset of the final block
+  if (__builtin_mul_overflow(std::uint64_t{count} - 1, stride, &last_block) ||
+      __builtin_add_overflow(last_block, offset, &last_block)) {
+    return {ErrorCode::kOutOfRange, "block-stride extent overflows"};
+  }
+  return validate(buf, last_block, block_bytes);
 }
 
 Status Runtime::check_reachable(std::uint32_t from, std::uint32_t to) const {
@@ -305,12 +318,16 @@ sim::Task<Status> Runtime::memcpy_block_stride(
     co_return Status{ErrorCode::kInvalidArgument,
                      "block count exceeds descriptor-chain capacity"};
   }
-  const std::uint64_t src_extent =
-      src_off + (count - 1) * src_stride + block_bytes;
-  const std::uint64_t dst_extent =
-      dst_off + (count - 1) * dst_stride + block_bytes;
-  if (Status st = validate(src, 0, src_extent); !st.is_ok()) co_return st;
-  if (Status st = validate(dst, 0, dst_extent); !st.is_ok()) co_return st;
+  if (Status st =
+          validate_strided(src, src_off, src_stride, block_bytes, count);
+      !st.is_ok()) {
+    co_return st;
+  }
+  if (Status st =
+          validate_strided(dst, dst_off, dst_stride, block_bytes, count);
+      !st.is_ok()) {
+    co_return st;
+  }
 
   std::vector<DmaDescriptor> chain;
   chain.reserve(count);
@@ -363,12 +380,16 @@ Status Stream::enqueue_block_stride(Buffer dst, std::uint64_t dst_off,
                                     std::uint64_t block_bytes,
                                     std::uint32_t count) {
   if (count == 0 || block_bytes == 0) return Status::ok();
-  const std::uint64_t src_extent =
-      src_off + (count - 1) * src_stride + block_bytes;
-  const std::uint64_t dst_extent =
-      dst_off + (count - 1) * dst_stride + block_bytes;
-  if (Status st = rt_.validate(src, 0, src_extent); !st.is_ok()) return st;
-  if (Status st = rt_.validate(dst, 0, dst_extent); !st.is_ok()) return st;
+  if (Status st =
+          rt_.validate_strided(src, src_off, src_stride, block_bytes, count);
+      !st.is_ok()) {
+    return st;
+  }
+  if (Status st =
+          rt_.validate_strided(dst, dst_off, dst_stride, block_bytes, count);
+      !st.is_ok()) {
+    return st;
+  }
 
   for (std::uint32_t i = 0; i < count; ++i) {
     ops_.push_back(Runtime::CopyOp{.dst = dst,

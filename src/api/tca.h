@@ -236,6 +236,11 @@ class Runtime {
                                           std::uint64_t offset) const;
   Status validate(const Buffer& buf, std::uint64_t offset,
                   std::uint64_t bytes) const;
+  /// validate() over `count` blocks of `block_bytes` spaced `stride` apart
+  /// from `offset`; an extent that overflows 64 bits is out of range.
+  Status validate_strided(const Buffer& buf, std::uint64_t offset,
+                          std::uint64_t stride, std::uint64_t block_bytes,
+                          std::uint32_t count) const;
   /// kUnreachable when the fabric manager reports `to` partitioned away
   /// from `from` (see fabric::SubCluster::reachable). Checked before every
   /// transfer submission and between retry attempts, so a genuine

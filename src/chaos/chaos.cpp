@@ -322,8 +322,9 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
     sim::Scheduler sched;
     api::TcaConfig cfg;
     cfg.spec = spec.topology;
-    // Keep the eagerly-backed DRAM model small: 64-node campaigns would
-    // otherwise allocate gigabytes. 3 MiB clears the driver-layout floor.
+    // These sizes are part of every campaign's identity: the committed
+    // corpus (tests/chaos) was shrunk against them, so changing them
+    // changes what a replay exercises. 3 MiB clears the driver-layout floor.
     cfg.node_config.gpu_count = 2;
     cfg.node_config.host_backing_bytes = 3ull << 20;
     cfg.node_config.gpu_backing_bytes = 256ull << 10;

@@ -144,7 +144,7 @@ Status Communicator::validate_buffer(std::uint32_t rank,
     return {ErrorCode::kInvalidArgument,
             "rank r collective arguments must live on node r"};
   }
-  if (offset + bytes > buf.size) {
+  if (offset > buf.size || bytes > buf.size - offset) {
     return {ErrorCode::kOutOfRange, "collective region outside buffer"};
   }
   return Status::ok();

@@ -120,6 +120,11 @@ class GpuDevice : public pcie::TlpSink {
   [[nodiscard]] std::optional<DevPtr> translate(std::uint64_t bus_addr,
                                                 std::uint32_t len) const;
 
+  /// [ptr, ptr+len) lies inside GDDR; written so that ptr + len cannot wrap.
+  [[nodiscard]] bool fits(DevPtr ptr, std::uint64_t len) const {
+    return ptr <= gddr_.size() && len <= gddr_.size() - ptr;
+  }
+
   sim::Scheduler& sched_;
   pcie::DeviceId id_;
   GpuConfig cfg_;

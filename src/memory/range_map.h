@@ -65,7 +65,8 @@ class RangeMap {
   [[nodiscard]] const Range* find_span(std::uint64_t addr,
                                        std::uint64_t len) const {
     const Range* r = find(addr);
-    if (r == nullptr || addr + len > r->end()) return nullptr;
+    // find() guarantees addr < end(), so end() - addr cannot wrap.
+    if (r == nullptr || len > r->end() - addr) return nullptr;
     return r;
   }
 

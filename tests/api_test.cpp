@@ -49,6 +49,72 @@ TEST(Runtime, AllocGpuPinsPages) {
       b.value().block_offset, 128 << 10));
 }
 
+// In each case below off + len wraps past 2^64 back below the capacity, so
+// a check written as `off + len <= size` would accept memory that does not
+// exist.
+TEST(Runtime, AllocGpuRejectsLengthsThatWrapTheAddressSpace) {
+  sim::Scheduler sched;
+  Runtime rt(sched, TcaConfig{.spec = fabric::TopologySpec::ring(2)});
+  ASSERT_TRUE(rt.alloc_gpu(0, 0, 256).is_ok());
+  // base 256 + (2^64 - 248) wraps to 8.
+  auto huge = rt.alloc_gpu(0, 0, ~0ull - 247);
+  ASSERT_FALSE(huge.is_ok());
+  EXPECT_EQ(huge.status().code(), ErrorCode::kResourceExhausted);
+  // The allocator is untouched: the next honest allocation still fits.
+  EXPECT_TRUE(rt.alloc_gpu(0, 0, 4096).is_ok());
+}
+
+TEST(Runtime, AllocHostRejectsLengthsThatWrapTheAddressSpace) {
+  sim::Scheduler sched;
+  Runtime rt(sched, small_config());
+  ASSERT_TRUE(rt.alloc_host(0, 256).is_ok());
+  auto huge = rt.alloc_host(0, ~0ull - 199);  // base 256 + len wraps to 56
+  ASSERT_FALSE(huge.is_ok());
+  EXPECT_EQ(huge.status().code(), ErrorCode::kResourceExhausted);
+}
+
+TEST(Runtime, CopiesRejectOffsetsThatWrapTheAddressSpace) {
+  sim::Scheduler sched;
+  Runtime rt(sched, small_config());
+  auto a = rt.alloc_host(0, 4096).value();
+  auto b = rt.alloc_gpu(1, 0, 4096).value();
+  const std::uint64_t wrap_off = ~0ull - 7;  // wrap_off + 16 == 8
+
+  auto t = rt.memcpy_peer(b, wrap_off, a, 0, 16);
+  sched.run();
+  EXPECT_EQ(t.result().code(), ErrorCode::kOutOfRange);
+
+  Stream stream(rt);
+  EXPECT_EQ(stream.enqueue_copy(a, 0, b, wrap_off, 16).code(),
+            ErrorCode::kOutOfRange);
+  // Strided extents: 2 * 2^63 wraps to 0.
+  EXPECT_EQ(stream.enqueue_block_stride(b, 0, 64, a, 0, 1ull << 63, 16, 3)
+                .code(),
+            ErrorCode::kOutOfRange);
+  auto strided = rt.memcpy_block_stride(b, 0, 1ull << 63, a, 0, 64, 16, 3);
+  sched.run();
+  EXPECT_EQ(strided.result().code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(stream.pending(), 0u);
+}
+
+TEST(GpuDevice, PinChecksRejectRangesThatWrap) {
+  sim::Scheduler sched;
+  Runtime rt(sched, small_config());
+  gpu::GpuDevice& dev = rt.cluster().node(0).gpu(0);
+  ASSERT_TRUE(dev.mem_alloc(4096).is_ok());
+  auto ptr = dev.mem_alloc(4096);  // nonzero, so wrap_len itself does not wrap
+  ASSERT_TRUE(ptr.is_ok());
+  auto token = dev.get_p2p_token(ptr.value());
+  ASSERT_TRUE(token.is_ok());
+  const std::uint64_t wrap_len = ~0ull - ptr.value() + 16;  // ptr + len == 15
+  EXPECT_EQ(dev.pin_pages(token.value(), ptr.value(), wrap_len).status().code(),
+            ErrorCode::kOutOfRange);
+  EXPECT_EQ(dev.unpin_pages(ptr.value(), wrap_len).code(),
+            ErrorCode::kOutOfRange);
+  EXPECT_FALSE(dev.is_pinned(ptr.value(), wrap_len));
+  EXPECT_FALSE(dev.mem_alloc(~0ull).is_ok());
+}
+
 TEST(Runtime, AllocGpuRejectsCrossSocketGpus) {
   sim::Scheduler sched;
   Runtime rt(sched, small_config());

@@ -527,6 +527,11 @@ TEST(Coll, ValidatesCollectiveArguments) {
   sched.run();
   EXPECT_EQ(overflow.result().code(), ErrorCode::kOutOfRange);
 
+  // offset + bytes wraps to 8: still outside the buffer.
+  auto wrapped = c.broadcast(0, 0, mine, ~0ull - 7, 16);
+  sched.run();
+  EXPECT_EQ(wrapped.result().code(), ErrorCode::kOutOfRange);
+
   auto bad_count = c.allreduce_sum(0, mine, 0, 6);  // not a multiple of 4
   sched.run();
   EXPECT_EQ(bad_count.result().code(), ErrorCode::kInvalidArgument);

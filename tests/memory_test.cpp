@@ -1,7 +1,11 @@
 // Unit tests for the memory substrate: RangeMap decode and Dram storage.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "memory/dram.h"
@@ -47,6 +51,7 @@ TEST(RangeMap, FindSpanRequiresFullContainment) {
   EXPECT_NE(map.find_span(0x10f0, 0x10), nullptr);
   EXPECT_EQ(map.find_span(0x10f0, 0x11), nullptr);  // crosses the boundary
   EXPECT_EQ(map.find_span(0x2000, 1), nullptr);
+  EXPECT_EQ(map.find_span(0x10f0, ~0ull - 0x10), nullptr);  // end wraps
 }
 
 TEST(RangeMap, RemoveByBase) {
@@ -93,10 +98,63 @@ TEST(Dram, ViewsAliasStorage) {
   EXPECT_EQ(dram.view(10, 1)[0], std::byte{0xCC});
 }
 
-TEST(Dram, FillSetsEverything) {
-  Dram dram(64);
-  dram.fill(std::byte{0x5A});
-  for (auto b : dram.view(0, 64)) EXPECT_EQ(b, std::byte{0x5A});
+TEST(Dram, UntouchedBytesReadAsZero) {
+  Dram small(64);
+  for (auto b : small.view(0, 64)) EXPECT_EQ(b, std::byte{0});
+
+  // A K20's 5 GiB, so offsets need more than 32 bits: the last byte is as
+  // readable (and as zero) as the first, and a write at the very end neither
+  // wraps nor disturbs its neighbours.
+  const std::uint64_t size = 5ull << 30;
+  Dram big(size);
+  ASSERT_EQ(big.size(), size);
+  EXPECT_EQ(big.view(0, 1)[0], std::byte{0});
+  EXPECT_EQ(big.view(size - 1, 1)[0], std::byte{0});
+  std::vector<std::byte> tail{std::byte{0x5A}};
+  big.write(size - 1, tail);
+  std::vector<std::byte> out(2);
+  big.read(size - 2, out);
+  EXPECT_EQ(out, (std::vector<std::byte>{std::byte{0}, std::byte{0x5A}}));
+}
+
+// Every out-of-range access trips the check, including the first three,
+// where offset + len wraps past 2^64 back below the size.
+TEST(DramDeathTest, RangeChecksDoNotWrap) {
+  Dram dram(4096);
+  std::vector<std::byte> four(4);
+  EXPECT_DEATH(dram.write(~0ull - 1, four), "TCA_ASSERT failed");
+  EXPECT_DEATH(dram.read(~0ull - 1, four), "TCA_ASSERT failed");
+  EXPECT_DEATH((void)dram.view(16, ~0ull - 8), "TCA_ASSERT failed");
+  EXPECT_DEATH((void)dram.view_mut(4097, 0), "TCA_ASSERT failed");
+}
+
+TEST(Dram, ZeroSizedIsEmpty) {
+  Dram dram(0);
+  EXPECT_EQ(dram.size(), 0u);
+  EXPECT_TRUE(dram.view(0, 0).empty());
+}
+
+/// Resident set size in bytes, from /proc/self/statm (second field, pages).
+std::uint64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::uint64_t total_pages = 0;
+  std::uint64_t resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return resident_pages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(Dram, ResidentMemoryTracksTouchedPagesOnly) {
+  const std::uint64_t before = resident_bytes();
+  ASSERT_GT(before, 0u);
+  Dram dram(1ull << 30);
+  std::vector<std::byte> block(4096, std::byte{0x11});
+  dram.write(512ull << 20, block);
+  EXPECT_EQ(dram.view(512ull << 20, 1)[0], std::byte{0x11});
+  const std::uint64_t after = resident_bytes();
+  const std::uint64_t grown = after > before ? after - before : 0;
+  EXPECT_LT(grown, 8ull << 20)
+      << "a 1 GiB Dram with one 4 KiB block written grew RSS by " << grown
+      << " bytes";
 }
 
 }  // namespace

@@ -32,15 +32,9 @@ struct TraceGuard {
   }
 };
 
-/// Small per-node backing stores: mem::Dram allocates eagerly, so a 16-node
-/// torus with the default sizes would reserve real gigabytes.
-SubClusterConfig small_cluster(TopologySpec spec) {
-  return SubClusterConfig{
-      .spec = spec,
-      .node_config = {.gpu_count = 0,
-                      .host_backing_bytes = 4 << 20,
-                      .gpu_backing_bytes = 1 << 20},
-  };
+/// Host-only nodes: the fabric tests below move host memory only.
+SubClusterConfig host_only_cluster(TopologySpec spec) {
+  return SubClusterConfig{.spec = spec, .node_config = {.gpu_count = 0}};
 }
 
 TEST(TopologySpec, ValidatePerTopologyRules) {
@@ -167,7 +161,7 @@ class DimensionOrderRouting
 TEST_P(DimensionOrderRouting, PathsAreMinimalAndLoopFree) {
   const TopologySpec topo = TopologySpec::torus(GetParam());
   sim::Scheduler sched;
-  SubCluster tca(sched, small_cluster(topo));
+  SubCluster tca(sched, host_only_cluster(topo));
   for (std::uint32_t from = 0; from < topo.node_count(); ++from) {
     for (std::uint32_t to = 0; to < topo.node_count(); ++to) {
       if (from == to) continue;
@@ -200,7 +194,7 @@ INSTANTIATE_TEST_SUITE_P(Tori, DimensionOrderRouting,
 std::string trace_of(const TopologySpec& spec) {
   TraceGuard guard;
   sim::Scheduler sched;
-  SubCluster tca(sched, small_cluster(spec));
+  SubCluster tca(sched, host_only_cluster(spec));
   std::vector<std::byte> data(8 << 10);
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<std::byte>(i * 31 & 0xff);
@@ -227,8 +221,8 @@ TEST(TorusDegenerateCase, OneDimensionalTorusMatchesRingByteForByte) {
 
 TEST(TorusDegenerateCase, RoutingRegistersMatchRing) {
   sim::Scheduler s1, s2;
-  SubCluster ring(s1, small_cluster(TopologySpec::ring(8)));
-  SubCluster torus(s2, small_cluster(TopologySpec::torus({8})));
+  SubCluster ring(s1, host_only_cluster(TopologySpec::ring(8)));
+  SubCluster torus(s2, host_only_cluster(TopologySpec::torus({8})));
   for (std::uint32_t n = 0; n < 8; ++n) {
     const auto& a = ring.chip(n).routing();
     const auto& b = torus.chip(n).routing();
@@ -246,7 +240,7 @@ TEST(TorusDegenerateCase, RoutingRegistersMatchRing) {
 #pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 TEST(TorusDegenerateCase, DeprecatedRingAccessorsDelegate) {
   sim::Scheduler sched;
-  SubCluster tca(sched, small_cluster(TopologySpec::ring(8)));
+  SubCluster tca(sched, host_only_cluster(TopologySpec::ring(8)));
   for (std::uint32_t to = 1; to < 8; ++to) {
     EXPECT_EQ(tca.ring_hops(0, to), tca.hops(0, to));
   }
@@ -258,7 +252,7 @@ TEST(TorusDegenerateCase, DeprecatedRingAccessorsDelegate) {
 
 TEST(TorusFailover, ChainCrossingKilledCableReroutesAndCompletes) {
   sim::Scheduler sched;
-  auto config = small_cluster(TopologySpec::torus({4, 4}));
+  auto config = host_only_cluster(TopologySpec::torus({4, 4}));
   // Cable 0 is row 0's x-cable between nodes 0 and 1; the 0 -> 1 transfer
   // rides it until the cut, then the NIOS flips row 0's +x routes to -x
   // (0 -> 3 -> 2 -> 1, still inside dimension x).
@@ -296,7 +290,7 @@ TEST(TorusFailover, ChainCrossingKilledCableReroutesAndCompletes) {
 
 TEST(TorusFailover, WithoutFailoverTheWatchdogSurfacesTimedOut) {
   sim::Scheduler sched;
-  auto config = small_cluster(TopologySpec::torus({4, 4}));
+  auto config = host_only_cluster(TopologySpec::torus({4, 4}));
   config.fault_plan.cut(0, us(5));
   config.enable_failover = false;
   SubCluster tca(sched, config);
@@ -324,7 +318,7 @@ TEST(TorusFailover, WithoutFailoverTheWatchdogSurfacesTimedOut) {
 
 TEST(OverlappingFaults, RetrainWhileSecondSameDimCableDown) {
   sim::Scheduler sched;
-  auto config = small_cluster(TopologySpec::torus({4, 4}));
+  auto config = host_only_cluster(TopologySpec::torus({4, 4}));
   // Row 0's x-ring (cables 0..3): cable 0 dies, the reroute goes -x, then
   // cable 1 dies inside the detour (row 0 is now partitioned around node
   // 1), and cable 0 retrains while cable 1 is still down. Every window
@@ -373,7 +367,7 @@ TEST(OverlappingFaults, RetrainWhileSecondSameDimCableDown) {
 
 TEST(OverlappingFaults, FlapsShorterThanServiceDelayNeverReroute) {
   sim::Scheduler sched;
-  auto config = small_cluster(TopologySpec::torus({4, 4}));
+  auto config = host_only_cluster(TopologySpec::torus({4, 4}));
   // Two back-to-back flaps, each far shorter than the NIOS 2 us service
   // delay: by the time the management processor services either down
   // interrupt the link is already retrained, so the transition is
