@@ -1,5 +1,5 @@
-// Sharded-scheduler scaling sweep: wall-clock of the conservative parallel
-// DES core against the seed baseline backend on a ring of N simulated nodes
+// Sharded-engine scaling sweep: wall-clock of the conservative parallel
+// DES engine against the frozen seed queue on a ring of N simulated nodes
 // (N >= 64 is the gated point), weak-scaled so each node carries the same
 // event load.
 //
@@ -10,26 +10,26 @@
 //     LinkPort/Dmac serializer shape);
 //   * per-node completion timeouts — every local fire disarms and re-arms
 //     the node's watchdog, the fault-domain recovery pattern: timeouts
-//     almost never fire, they churn (the seed backend pays a tombstone-set
+//     almost never fire, they churn (the seed queue pays a tombstone-set
 //     insert per disarm, the indexed/sharded queues unlink in place);
 //   * ring tokens — one token per node circling the ring, each hop crossing
 //     to the neighbour's shard with the cable's flight time (= the
 //     conservative lookahead, calib::kConservativeLookaheadPs), exactly the
 //     cross-shard edge the epoch barrier is derived from.
 //
-// Five configurations run per N:
-//   baseline   seed priority_queue backend
-//   indexed    single indexed queue (calendar tier + 4-ary heap)
-//   merge      sharded engine, merge mode (byte-identical global order)
-//   epoch T=1  sharded engine, conservative epochs, one worker — the gated
-//              configuration: per-shard O(1) calendar queues plus
+// Four configurations run per N:
+//   baseline   frozen seed priority_queue (bench/seed_scheduler.h)
+//   indexed    sim::Scheduler (calendar tiers + 4-ary heap)
+//   epoch T=1  sim::ShardedEngine, conservative epochs, one worker — the
+//              gated configuration: per-shard O(1) calendar queues plus
 //              epoch-batched per-node execution (cache locality), no
 //              cross-thread overhead to mask the algorithmic win
 //   epoch T=2  same, two workers — must match T=1 bit for bit
 //
 // Determinism gates:
-//   * baseline / indexed / merge agree on a global order-sensitive hash;
-//   * merge / epoch T=1 / epoch T=2 agree on every per-shard event-order
+//   * baseline / indexed agree on a global order-sensitive hash and on
+//     every per-shard hash;
+//   * indexed / epoch T=1 / epoch T=2 agree on every per-shard event-order
 //     hash (the per-shard projection is the invariant epochs preserve; the
 //     workload keeps local-event times off the token-arrival time lattice so
 //     the projection is tie-free).
@@ -42,9 +42,12 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/seed_scheduler.h"
 #include "calib/calibration.h"
 #include "fabric/topology.h"
 #include "sim/scheduler.h"
@@ -56,7 +59,6 @@ namespace {
 using sim::Scheduler;
 using sim::ShardedEngine;
 using Clock = std::chrono::steady_clock;
-using QueueImpl = Scheduler::QueueImpl;
 
 constexpr TimePs kHopPs = calib::kConservativeLookaheadPs;  // cable flight
 constexpr std::size_t kStateWords = 512;                    // 4 KiB per node
@@ -73,25 +75,40 @@ std::uint64_t hash_combine(std::uint64_t h, std::uint64_t v) {
 
 /// Token arrivals land on the multiple-of-5 ps lattice; local timers start at
 /// residue 1..4 and advance by multiples of 5, so a mailbox-drained event
-/// never ties with a locally scheduled one at the same picosecond — merge and
-/// epoch modes then execute every shard's events in the same order.
+/// never ties with a locally scheduled one at the same picosecond — the
+/// single queue and the epoch engine then execute every shard's events in the
+/// same order.
 TimePs round_up_to_lattice(TimePs t) { return (t + 4) / 5 * 5; }
 
+/// Files `fn` at absolute time `at` on `node`'s shard. The single-queue
+/// engines have no shards and ignore the tag.
+template <typename Engine, typename F>
+std::uint64_t post(Engine& e, std::uint32_t node, TimePs at, F&& fn) {
+  if constexpr (std::is_same_v<Engine, ShardedEngine>) {
+    return e.schedule(node, at, std::forward<F>(fn));
+  } else {
+    return e.schedule_at(at, std::forward<F>(fn));
+  }
+}
+
+template <typename Engine>
 struct Rig;
 
 struct Pad32 {
   std::uint64_t a = 0, b = 0, c = 0, d = 0;
 };
 
+template <typename Engine>
 struct LocalTimer {
-  Rig* rig;
+  Rig<Engine>* rig;
   std::uint32_t node;
   TimePs period;       // multiple of 5
   std::uint64_t left;  // fires remaining
 };
 
+template <typename Engine>
 struct Rig {
-  Scheduler* sched = nullptr;
+  Engine* sched = nullptr;
   std::uint32_t nodes = 0;
   std::uint32_t token_hops = 0;
   std::vector<std::uint32_t> next_of;  // token successor per node
@@ -99,14 +116,14 @@ struct Rig {
   std::uint64_t global_hash = 0xcbf29ce484222325ull;
   std::vector<std::uint64_t> shard_hash;   // one slot per node == shard
   std::vector<std::uint64_t> state;        // nodes * kStateWords
-  std::vector<LocalTimer> timers;
-  std::vector<Scheduler::EventId> timeout;  // per-node armed watchdog
+  std::vector<LocalTimer<Engine>> timers;
+  std::vector<std::uint64_t> timeout;  // per-node armed watchdog
 
   /// (Re-)arms node's watchdog at absolute time `at`. Same-shard schedule:
-  /// the id stays valid and cancellable from the node's own events in every
-  /// backend mode. Callers keep `at` off the multiple-of-5 token lattice.
+  /// the id stays valid and cancellable from the node's own events on every
+  /// engine. Callers keep `at` off the multiple-of-5 token lattice.
   void arm_timeout(std::uint32_t node, TimePs at) {
-    timeout[node] = sched->schedule_on(node, at, [this, node, pad = Pad32{}] {
+    timeout[node] = post(*sched, node, at, [this, node, pad = Pad32{}] {
       (void)pad;
       touch(node, 0x7400ull + node);  // expired: fires only at drain
     });
@@ -132,8 +149,9 @@ struct Rig {
   }
 };
 
-void fire_local(LocalTimer* t) {
-  Rig* rig = t->rig;
+template <typename Engine>
+void fire_local(LocalTimer<Engine>* t) {
+  Rig<Engine>* rig = t->rig;
   rig->touch(t->node, t->left);
   // Watchdog churn: disarm and re-arm the node's timeout, the fault-domain
   // recovery pattern. now ≡ 1..4 (mod 5) here, so the re-armed time stays
@@ -142,15 +160,16 @@ void fire_local(LocalTimer* t) {
   rig->arm_timeout(t->node, rig->sched->now() + kTimeoutPs);
   if (--t->left == 0) return;
   // ~40-byte capture: pointer + padding. Inline in EventFn, heap-allocated
-  // by the seed backend's std::function — the realistic simulator shape.
-  t->rig->sched->schedule_on_after(t->node, t->period,
-                                   [t, pad = Pad32{}] {
-                                     (void)pad;
-                                     fire_local(t);
-                                   });
+  // by the seed queue's std::function — the realistic simulator shape.
+  post(*rig->sched, t->node, rig->sched->now() + t->period,
+       [t, pad = Pad32{}] {
+         (void)pad;
+         fire_local(t);
+       });
 }
 
-void hop_token(Rig* rig, std::uint32_t node, std::uint32_t hops_left,
+template <typename Engine>
+void hop_token(Rig<Engine>* rig, std::uint32_t node, std::uint32_t hops_left,
                std::uint32_t token) {
   rig->touch(node, 0x10000ull + token * 1000ull + hops_left);
   if (hops_left == 0) return;
@@ -159,11 +178,11 @@ void hop_token(Rig* rig, std::uint32_t node, std::uint32_t hops_left,
   // flight time, rounded up onto the arrival lattice. flight >= lookahead,
   // so in epoch mode this always lands at or past the epoch boundary.
   const TimePs arrive = round_up_to_lattice(rig->sched->now() + kHopPs);
-  rig->sched->schedule_on(next, arrive, [rig, next, hops_left, token,
-                                         pad = Pad32{}] {
-    (void)pad;
-    hop_token(rig, next, hops_left - 1, token);
-  });
+  post(*rig->sched, next, arrive,
+       [rig, next, hops_left, token, pad = Pad32{}] {
+         (void)pad;
+         hop_token(rig, next, hops_left - 1, token);
+       });
 }
 
 struct RunResult {
@@ -184,9 +203,10 @@ struct Workload {
   fabric::TopologySpec spec;
 };
 
-/// One full simulation of the ring/torus workload on the given scheduler.
-RunResult run_ring(Scheduler& sched, const Workload& w, bool track_global) {
-  Rig rig;
+/// One full simulation of the ring/torus workload on the given engine.
+template <typename Engine>
+RunResult run_ring(Engine& sched, const Workload& w, bool track_global) {
+  Rig<Engine> rig;
   rig.sched = &sched;
   rig.nodes = w.nodes;
   rig.token_hops = w.token_hops;
@@ -204,13 +224,14 @@ RunResult run_ring(Scheduler& sched, const Workload& w, bool track_global) {
   rig.track_global = track_global;
   rig.shard_hash.assign(w.nodes, 0xcbf29ce484222325ull);
   rig.state.assign(static_cast<std::size_t>(w.nodes) * kStateWords, 0);
-  rig.timeout.assign(w.nodes, Scheduler::kInvalidEvent);
+  rig.timeout.assign(w.nodes, 0);
   rig.timers.reserve(static_cast<std::size_t>(w.nodes) * kTimersPerNode);
   for (std::uint32_t i = 0; i < w.nodes; ++i) {
     for (int k = 0; k < kTimersPerNode; ++k) {
-      rig.timers.push_back(LocalTimer{
+      rig.timers.push_back(LocalTimer<Engine>{
           &rig, i,
-          5 * (90 + static_cast<TimePs>((i * 13 + k * 7) % 64)),
+          5 * (90 + static_cast<TimePs>(
+                        (i * 13 + static_cast<std::uint32_t>(k) * 7) % 64)),
           w.fires_per_timer});
     }
   }
@@ -220,18 +241,16 @@ RunResult run_ring(Scheduler& sched, const Workload& w, bool track_global) {
     rig.arm_timeout(i, kTimeoutPs + 1 + static_cast<TimePs>(i % 4));
   }
   for (std::size_t idx = 0; idx < rig.timers.size(); ++idx) {
-    LocalTimer* t = &rig.timers[idx];
+    LocalTimer<Engine>* t = &rig.timers[idx];
     const TimePs start = 1 + static_cast<TimePs>((t->node + idx) % 4);
-    sched.schedule_on(t->node, start, [t, pad = Pad32{}] {
+    post(sched, t->node, start, [t, pad = Pad32{}] {
       (void)pad;
       fire_local(t);
     });
   }
   for (std::uint32_t i = 0; i < w.nodes; ++i) {
-    sched.schedule_on(i, round_up_to_lattice(kHopPs),
-                      [&rig, i, hops = w.token_hops] {
-                        hop_token(&rig, i, hops, i);
-                      });
+    post(sched, i, round_up_to_lattice(kHopPs),
+         [&rig, i, hops = w.token_hops] { hop_token(&rig, i, hops, i); });
   }
   sched.run();
   RunResult r;
@@ -243,8 +262,11 @@ RunResult run_ring(Scheduler& sched, const Workload& w, bool track_global) {
   return r;
 }
 
-RunResult run_backend(QueueImpl impl, const Workload& w) {
-  Scheduler sched(impl);
+/// Single-queue run (seed or indexed): serial global order, so the global
+/// hash is tracked too.
+template <typename Sched>
+RunResult run_single(const Workload& w) {
+  Sched sched;
   return run_ring(sched, w, /*track_global=*/true);
 }
 
@@ -253,10 +275,10 @@ RunResult run_sharded(const Workload& w, unsigned threads) {
   cfg.shards = w.nodes;
   cfg.lookahead_ps = calib::kConservativeLookaheadPs;
   cfg.threads = threads;
-  Scheduler sched(cfg);
-  // The global hash is a single shared word — only merge mode (threads == 0,
-  // serial global order) may track it.
-  return run_ring(sched, w, /*track_global=*/threads == 0);
+  ShardedEngine engine(cfg);
+  // The global hash is a single shared word, and epoch order is only
+  // defined per shard: track per-shard hashes alone.
+  return run_ring(engine, w, /*track_global=*/false);
 }
 
 /// Best (minimum) wall clock over `reps` runs; asserts every rerun reproduces
@@ -278,16 +300,12 @@ RunResult best_wall(int reps, F&& run) {
 struct SweepRow {
   std::string label;  // JSON key: ring_<n> or torus_<XxY[xZ]>
   std::uint32_t nodes = 0;
-  double baseline_s = 0, indexed_s = 0, merge_s = 0, epoch1_s = 0,
-         epoch2_s = 0;
+  double baseline_s = 0, indexed_s = 0, epoch1_s = 0, epoch2_s = 0;
   std::uint64_t events = 0;
-  bool order_equivalent = false;   // baseline == indexed == merge (global)
-  bool thread_invariant = false;   // merge == epoch1 == epoch2 (per shard)
+  bool order_equivalent = false;  // baseline == indexed (global + per shard)
+  bool thread_invariant = false;  // indexed == epoch1 == epoch2 (per shard)
   [[nodiscard]] double speedup() const {
     return epoch1_s > 0 ? baseline_s / epoch1_s : 0;
-  }
-  [[nodiscard]] double merge_speedup() const {
-    return merge_s > 0 ? baseline_s / merge_s : 0;
   }
 };
 
@@ -305,30 +323,24 @@ SweepRow sweep_point(const Workload& w, int reps) {
   row.label = row_label(w);
   row.nodes = w.nodes;
   const RunResult base =
-      best_wall(reps, [&] { return run_backend(QueueImpl::kBaseline, w); });
-  const RunResult idx =
-      best_wall(1, [&] { return run_backend(QueueImpl::kIndexed, w); });
-  const RunResult merge = best_wall(1, [&] { return run_sharded(w, 0); });
+      best_wall(reps, [&] { return run_single<SeedScheduler>(w); });
+  const RunResult idx = best_wall(1, [&] { return run_single<Scheduler>(w); });
   const RunResult epoch1 =
       best_wall(reps, [&] { return run_sharded(w, 1); });
   const RunResult epoch2 = best_wall(1, [&] { return run_sharded(w, 2); });
 
   row.baseline_s = base.wall_s;
   row.indexed_s = idx.wall_s;
-  row.merge_s = merge.wall_s;
   row.epoch1_s = epoch1.wall_s;
   row.epoch2_s = epoch2.wall_s;
   row.events = base.processed;
   row.order_equivalent = base.processed == idx.processed &&
-                         base.processed == merge.processed &&
                          base.global_hash == idx.global_hash &&
-                         base.global_hash == merge.global_hash &&
-                         base.shard_hash == idx.shard_hash &&
-                         base.shard_hash == merge.shard_hash;
-  row.thread_invariant = merge.processed == epoch1.processed &&
-                         merge.processed == epoch2.processed &&
-                         merge.shard_hash == epoch1.shard_hash &&
-                         merge.shard_hash == epoch2.shard_hash;
+                         base.shard_hash == idx.shard_hash;
+  row.thread_invariant = idx.processed == epoch1.processed &&
+                         idx.processed == epoch2.processed &&
+                         idx.shard_hash == epoch1.shard_hash &&
+                         idx.shard_hash == epoch2.shard_hash;
   return row;
 }
 
@@ -365,35 +377,33 @@ int run(bool smoke, const std::string& json_path) {
   }
 
   TablePrinter table({"topology", "events", "baseline (s)", "indexed (s)",
-                      "merge (s)", "epoch T=1 (s)", "epoch T=2 (s)",
-                      "speedup", "merge speedup"});
+                      "epoch T=1 (s)", "epoch T=2 (s)", "speedup"});
   for (const SweepRow& r : rows) {
     table.add_row({r.label, std::to_string(r.events),
                    TablePrinter::cell(r.baseline_s, 3),
                    TablePrinter::cell(r.indexed_s, 3),
-                   TablePrinter::cell(r.merge_s, 3),
                    TablePrinter::cell(r.epoch1_s, 3),
                    TablePrinter::cell(r.epoch2_s, 3),
-                   TablePrinter::cell(r.speedup()),
-                   TablePrinter::cell(r.merge_speedup())});
+                   TablePrinter::cell(r.speedup())});
   }
   table.print();
 
   ShapeCheck check;
   char buf[200];
   std::snprintf(buf, sizeof buf,
-                "sharded epoch backend %.2fx >= %.1fx over seed baseline at "
+                "sharded epoch engine %.2fx >= %.1fx over seed queue at "
                 "%u nodes (wall clock)",
                 gate.speedup(), min_speedup, gate.nodes);
   check.expect(gate.speedup() >= min_speedup, buf);
   check.expect(gate.nodes >= 64, "gated sweep point covers >= 64 nodes");
   for (const SweepRow& r : rows) {
     std::snprintf(buf, sizeof buf,
-                  "%s: baseline/indexed/merge global event order identical",
+                  "%s: seed/indexed global and per-shard event order "
+                  "identical",
                   r.label.c_str());
     check.expect(r.order_equivalent, buf);
     std::snprintf(buf, sizeof buf,
-                  "%s: per-shard event order invariant across merge and "
+                  "%s: per-shard event order identical across indexed and "
                   "epoch T=1/T=2",
                   r.label.c_str());
     check.expect(r.thread_invariant, buf);
@@ -417,13 +427,11 @@ int run(bool smoke, const std::string& json_path) {
       std::fprintf(f,
                    "    \"%s\": {\"events\": %llu, "
                    "\"baseline_wall_s\": %.4f, \"indexed_wall_s\": %.4f, "
-                   "\"merge_wall_s\": %.4f, \"epoch1_wall_s\": %.4f, "
-                   "\"epoch2_wall_s\": %.4f, \"speedup\": %.3f, "
-                   "\"merge_speedup\": %.3f}%s\n",
+                   "\"epoch1_wall_s\": %.4f, \"epoch2_wall_s\": %.4f, "
+                   "\"speedup\": %.3f}%s\n",
                    r.label.c_str(), static_cast<unsigned long long>(r.events),
-                   r.baseline_s, r.indexed_s, r.merge_s, r.epoch1_s,
-                   r.epoch2_s, r.speedup(), r.merge_speedup(),
-                   i + 1 < rows.size() ? "," : "");
+                   r.baseline_s, r.indexed_s, r.epoch1_s, r.epoch2_s,
+                   r.speedup(), i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"sharded_scaling_speedup\": %.3f,\n", gate.speedup());

@@ -3,21 +3,19 @@
 # "Simulator core performance" and "Parallel DES core").
 #
 # Builds Release, then:
-#   1. bench_sim_core — events/sec of the indexed and sharded (merge-mode)
-#      schedulers vs. the seed baseline backend on synthetic churn (gates
-#      the >=3x headline and timer_fire_small >= 1.0x), plus
-#      allocation-free / determinism / three-way equivalence checks.
+#   1. bench_sim_core — events/sec of sim::Scheduler vs. the frozen seed
+#      queue (bench/seed_scheduler.h) on synthetic churn (gates the >=3x
+#      headline and timer_fire_small >= 1.0x), plus allocation-free /
+#      determinism / seed-equivalence checks.
 #   2. bench_sharded_scaling — ring-sweep wall clock of the conservative
-#      parallel DES core (gates >=2x over baseline at >=64 nodes and the
-#      per-shard thread-count-invariance checks).
-#   3. Wall-clock A/B of full-simulator benches (bench_fig9_dma_chain,
-#      bench_ring_scaling) across all three backends — TCA_SCHED_BASELINE
-#      0 (indexed) / 1 (baseline) / 2 (sharded merge) — with byte-for-byte
-#      diffs of their reports: simulated results must not drift by a single
-#      picosecond between backends.
-#   4. The collective-library sweeps (bench_coll_allreduce, bench_coll_halo)
-#      against the conventional MPI/IB stack, with the same three-way
-#      backend diff on bench_coll_allreduce.
+#      parallel DES engine (gates >=2x over the seed queue at >=64 nodes,
+#      seed == indexed event order, and indexed == epoch T=1 == T=2 per
+#      shard).
+#   3. The collective-library sweeps (bench_coll_allreduce, bench_coll_halo)
+#      against the conventional MPI/IB stack.
+#
+# Simulated-result drift is checked by diffing bench output between two
+# builds (parent and change), not inside one build: there is one scheduler.
 #
 # Everything lands in BENCH_sim_core.json and BENCH_coll.json at the
 # repository root. Collector outputs (reports, JSON fragments) live under
@@ -51,12 +49,11 @@ require_in_repo() {
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null || exit 1
 cmake --build "$BUILD" -j --target \
-  bench_sim_core bench_sharded_scaling bench_fig9_dma_chain \
-  bench_ring_scaling bench_coll_allreduce bench_coll_halo > /dev/null \
-  || exit 1
+  bench_sim_core bench_sharded_scaling bench_coll_allreduce \
+  bench_coll_halo > /dev/null || exit 1
 mkdir -p "$OUT"
 
-echo "== bench_sim_core (events/sec: indexed + sharded vs. baseline) =="
+echo "== bench_sim_core (events/sec: indexed vs. seed queue) =="
 require_in_repo "$OUT/sim_core.json"
 "$BUILD"/bench/bench_sim_core --json "$OUT/sim_core.json" || exit 1
 
@@ -66,103 +63,26 @@ require_in_repo "$OUT/sharded_scaling.json"
 "$BUILD"/bench/bench_sharded_scaling --json "$OUT/sharded_scaling.json" \
   || exit 1
 
-wallclock_once() { # binary -> seconds, report saved to $2
-  local t0 t1
-  t0=$(date +%s.%N)
-  "$1" > "$2" 2>&1 || return 1
-  t1=$(date +%s.%N)
-  echo "$t0 $t1" | awk '{printf "%.3f", $2 - $1}'
-}
-
-min_s() { # a b -> min(a, b), empty-tolerant
-  if [ -z "$1" ]; then echo "$2"
-  elif awk "BEGIN{exit !($2 < $1)}"; then echo "$2"
-  else echo "$1"; fi
-}
-
-echo
-echo "== wall-clock A/B on full-simulator benches (three-way) =="
 status=0
-drift=false
-entries=""
-for bench in bench_fig9_dma_chain bench_ring_scaling; do
-  bin="$BUILD/bench/$bench"
-  require_in_repo "$OUT/$bench.indexed.txt"
-  require_in_repo "$OUT/$bench.baseline.txt"
-  require_in_repo "$OUT/$bench.sharded.txt"
-  # Best-of-5, with the backends interleaved inside each repetition: the
-  # box's slow phases (thermal, noisy neighbours) then penalize all three
-  # equally instead of whichever backend owned the slow minute, and five
-  # samples put each backend's minimum at its true floor — these two
-  # benches run at parity by design (full-simulator wall clock), so the
-  # recorded ratio is all noise floor.
-  idx_s="" base_s="" shard_s=""
-  for _rep in 1 2 3 4 5; do
-    s=$(TCA_SCHED_BASELINE=0 wallclock_once "$bin" "$OUT/$bench.indexed.txt") \
-      || status=1
-    idx_s=$(min_s "$idx_s" "$s")
-    s=$(TCA_SCHED_BASELINE=1 wallclock_once "$bin" "$OUT/$bench.baseline.txt") \
-      || status=1
-    base_s=$(min_s "$base_s" "$s")
-    s=$(TCA_SCHED_BASELINE=2 wallclock_once "$bin" "$OUT/$bench.sharded.txt") \
-      || status=1
-    shard_s=$(min_s "$shard_s" "$s")
-  done
-  if diff -q "$OUT/$bench.indexed.txt" "$OUT/$bench.baseline.txt" \
-       > /dev/null \
-     && diff -q "$OUT/$bench.indexed.txt" "$OUT/$bench.sharded.txt" \
-          > /dev/null
-  then
-    drift_txt="identical output across 3 backends (0 ps drift)"
-  else
-    drift_txt="OUTPUT DIFFERS"
-    drift=true
-    status=1
-  fi
-  speed=$(echo "$base_s $idx_s" | awk '{printf "%.3f", $1 / $2}')
-  shard_speed=$(echo "$base_s $shard_s" | awk '{printf "%.3f", $1 / $2}')
-  printf '%-24s baseline %ss  indexed %ss (%sx)  sharded %ss (%sx)  %s\n' \
-    "$bench" "$base_s" "$idx_s" "$speed" "$shard_s" "$shard_speed" \
-    "$drift_txt"
-  entries="$entries  \"$bench\": {\"baseline_wall_s\": $base_s, \
-\"indexed_wall_s\": $idx_s, \"wall_speedup\": $speed, \
-\"sharded_wall_s\": $shard_s, \"sharded_wall_speedup\": $shard_speed},\n"
-done
 
-# Merge bench_sim_core + bench_sharded_scaling + the wall-clock numbers into
-# one JSON (each fragment's last line is its lone closing brace; the scaling
-# fragment's first two lines are "{" and its bench/smoke tags).
+# Merge bench_sim_core + bench_sharded_scaling into one JSON (each
+# fragment's last line is its lone closing brace; the scaling fragment's
+# first three lines are "{" and its bench/smoke tags).
 {
   head -n -1 "$OUT/sim_core.json"
   echo "  ,"
   tail -n +4 "$OUT/sharded_scaling.json" | head -n -1
-  echo "  ,"
-  printf '%b' "$entries"
-  echo "  \"zero_drift\": $($drift && echo false || echo true)"
   echo "}"
 } > "$JSON"
 echo
 echo "wrote $JSON"
 
 echo
-echo "== collective library vs the conventional stack (three-way A/B) =="
+echo "== collective library vs the conventional stack =="
 require_in_repo "$OUT/bench_coll_allreduce.json"
 require_in_repo "$OUT/bench_coll_halo.json"
-for mode in 0 1 2; do
-  TCA_SCHED_BASELINE=$mode "$BUILD"/bench/bench_coll_allreduce \
-    --json "$OUT/bench_coll_allreduce.json" \
-    > "$OUT/bench_coll_allreduce.$mode.txt" 2>&1 || status=1
-done
-if diff -q "$OUT/bench_coll_allreduce.0.txt" \
-     "$OUT/bench_coll_allreduce.1.txt" > /dev/null \
-   && diff -q "$OUT/bench_coll_allreduce.0.txt" \
-        "$OUT/bench_coll_allreduce.2.txt" > /dev/null
-then
-  echo "bench_coll_allreduce: identical output across 3 backends"
-else
-  echo "bench_coll_allreduce: OUTPUT DIFFERS across backends"
-  status=1
-fi
+"$BUILD"/bench/bench_coll_allreduce --json "$OUT/bench_coll_allreduce.json" \
+  > "$OUT/bench_coll_allreduce.txt" 2>&1 || status=1
 "$BUILD"/bench/bench_coll_halo --json "$OUT/bench_coll_halo.json" \
   > "$OUT/bench_coll_halo.txt" 2>&1 || status=1
 {

@@ -8,7 +8,8 @@
 # a TSan pass over the sharded-scheduler suite (epoch-mode worker threads;
 # skipped when the toolchain or kernel can't run TSan binaries),
 # a ~1 s bench_sim_core smoke run (scheduler speedup tripwire + allocation,
-# determinism and backend-equivalence checks), collective bench smoke runs,
+# determinism and seed-equivalence checks), a bench_sharded_scaling smoke
+# run (epoch-engine hash gates), collective bench smoke runs,
 # a chaos smoke (seeded campaigns with same-seed replay check + committed
 # corpus replay), and tca_explore smoke invocations (--stats and
 # --workload).
@@ -69,6 +70,9 @@ fi
 
 echo "== bench_sim_core smoke =="
 "$BUILD"/bench/bench_sim_core --smoke
+
+echo "== bench_sharded_scaling smoke =="
+"$BUILD"/bench/bench_sharded_scaling --smoke
 
 echo "== collective bench smoke =="
 "$BUILD"/bench/bench_coll_allreduce --smoke

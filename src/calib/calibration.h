@@ -231,7 +231,7 @@ inline constexpr double kCudaMemcpyBytesPerSec = 5.7e9;
 /// several meters").
 inline constexpr TimePs kCableLatencyPs = ns(25);
 
-/// Conservative-PDES lookahead for the sharded scheduler backend: the
+/// Conservative-PDES lookahead for sim::ShardedEngine: the
 /// minimum simulated latency of any interaction that crosses a shard
 /// boundary. Shards are nodes (or link endpoints), so every cross-shard
 /// event rides a PCIe external cable and arrives no earlier than

@@ -17,16 +17,6 @@ using peach2::torus_plus_port;
 
 namespace {
 
-/// Shard affinity for the sharded scheduler backend: one shard per node,
-/// folded onto the configured shard count. Every cross-node event then
-/// crosses a cable (latency >= calib::kConservativeLookaheadPs), which is
-/// the invariant the conservative lookahead window relies on. No-op (all
-/// zero) on non-sharded backends.
-std::uint32_t node_shard(sim::Scheduler& sched, std::uint32_t node) {
-  const sim::ShardedEngine* engine = sched.sharded();
-  return engine != nullptr ? node % engine->shard_count() : 0;
-}
-
 pcie::LinkConfig cable_config(std::uint32_t from, std::uint32_t to,
                               double bit_error_rate) {
   // PCIe external cable between boards: Gen2 x8 with repeater/propagation
@@ -44,17 +34,8 @@ pcie::LinkConfig cable_config(std::uint32_t from, std::uint32_t to,
 
 }  // namespace
 
-TopologySpec resolved_topology(const SubClusterConfig& config) {
-  if (!config.spec.empty()) return config.spec;
-  // One release of compatibility for the pre-TopologySpec enum surface.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  return TopologySpec::from_legacy(config.topology, config.node_count);
-#pragma GCC diagnostic pop
-}
-
 SubCluster::SubCluster(sim::Scheduler& sched, const SubClusterConfig& config)
-    : cfg_(config), topo_(resolved_topology(config)) {
+    : cfg_(config), topo_(config.spec) {
   const Status topo_ok = topo_.validate();
   TCA_ASSERT(topo_ok.is_ok());
   const std::uint32_t n = topo_.node_count();
@@ -80,7 +61,6 @@ SubCluster::SubCluster(sim::Scheduler& sched, const SubClusterConfig& config)
     pcie::LinkPort& slot = cn->attach_peach2_slot(
         pcfg.device_id, node::layout::kPeach2RegBase,
         /*claim_tca_window=*/true);
-    slot.set_shard(node_shard(sched, i));  // node-internal: same shard
     chip->attach_port(PortId::kNorth, slot);
     drivers_.emplace_back(
         std::make_unique<driver::Peach2Driver>(*cn, *chip));
@@ -128,8 +108,6 @@ void SubCluster::add_cable(sim::Scheduler& sched, std::uint32_t from,
   const CableId id = cables_.size() - 1;
   cable_ends_.emplace_back(from, to);
   cable_dim_.push_back(dim);
-  cable->end_a().set_shard(node_shard(sched, from));
-  cable->end_b().set_shard(node_shard(sched, to));
   chips_[from]->attach_port(from_port, cable->end_a());
   chips_[to]->attach_port(to_port, cable->end_b());
   if (from_port == torus_plus_port(dim)) plus_cable_[from][dim] = id;

@@ -29,14 +29,8 @@
 namespace tca::fabric {
 
 struct SubClusterConfig {
-  /// Preferred topology description (see fabric::TopologySpec). When left
-  /// empty the deprecated node_count/topology pair below is resolved
-  /// through TopologySpec::from_legacy.
-  TopologySpec spec;
-  [[deprecated("set SubClusterConfig::spec instead")]]
-  std::uint32_t node_count = 2;
-  [[deprecated("set SubClusterConfig::spec instead")]]
-  Topology topology = Topology::kRing;
+  /// Topology (see fabric::TopologySpec); must pass validate().
+  TopologySpec spec = TopologySpec::ring(2);
   node::NodeConfig node_config;
   std::uint64_t window_base = calib::kTcaWindowBase;
   std::uint64_t window_bytes = calib::kTcaWindowBytes;
@@ -57,11 +51,6 @@ struct SubClusterConfig {
   bool enable_failover = true;
 };
 
-/// The topology a config resolves to: `spec` when set, otherwise the legacy
-/// enum fields. Lives out-of-line so the deprecated-field read is confined
-/// to one audited spot.
-[[nodiscard]] TopologySpec resolved_topology(const SubClusterConfig& config);
-
 class SubCluster {
  public:
   SubCluster(sim::Scheduler& sched, const SubClusterConfig& config);
@@ -75,7 +64,7 @@ class SubCluster {
   }
   [[nodiscard]] const peach2::TcaLayout& layout() const { return layout_; }
   [[nodiscard]] const SubClusterConfig& config() const { return cfg_; }
-  /// The resolved topology this fabric was built as.
+  /// The topology this fabric was built as.
   [[nodiscard]] const TopologySpec& topology() const { return topo_; }
 
   [[nodiscard]] node::ComputeNode& node(std::uint32_t i) {
@@ -106,12 +95,6 @@ class SubCluster {
   /// distances summed for tori (dimension-order routing).
   [[nodiscard]] std::uint32_t hops(std::uint32_t from,
                                    std::uint32_t to) const {
-    return topo_.hops(from, to);
-  }
-
-  [[deprecated("use hops()")]]
-  [[nodiscard]] std::uint32_t ring_hops(std::uint32_t from,
-                                        std::uint32_t to) const {
     return topo_.hops(from, to);
   }
 
@@ -150,11 +133,6 @@ class SubCluster {
   /// Firmware's view of cable `k` (false once a NIOS has serviced its down
   /// event; the routing tables reflect this view, not the wire state).
   [[nodiscard]] bool cable_usable(CableId k) const {
-    return cable_usable_.at(k);
-  }
-
-  [[deprecated("use cable_usable()")]]
-  [[nodiscard]] bool ring_cable_usable(CableId k) const {
     return cable_usable_.at(k);
   }
 

@@ -19,7 +19,7 @@
 //    so a block can be freed from a different context than it was allocated
 //    in (a cross-shard mailbox event is built on the source shard and
 //    destroyed on the destination shard). The free-list push/pop is guarded
-//    by a mutex for that reason; it is uncontended in single-threaded modes
+//    by a mutex for that reason; it is uncontended in single-threaded runs
 //    and contended only on the rare cross-shard oversized capture.
 //  * arena_alloc()/arena_free() route through the calling thread's current
 //    arena (see ArenaScope), falling back to the global allocator when no

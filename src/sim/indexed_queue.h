@@ -1,5 +1,5 @@
-// Three-tier indexed event queue: the storage engine behind sim::Scheduler's
-// kIndexed backend and each shard of the kSharded backend.
+// Three-tier indexed event queue: the storage engine behind sim::Scheduler
+// and each shard of sim::ShardedEngine.
 //
 // Callables live in a slot pool as allocation-free sim::EventFn; small
 // 24-byte (time, seq, slot, gen) entries order them. Slots carry a
@@ -40,9 +40,9 @@
 // minimum.
 //
 // The queue is clock-less: callers pass `now` in (the Scheduler owns global
-// time; a shard of the parallel backend owns its local time) and supply the
-// `seq` tiebreak explicitly, which is how the sharded backend's merge mode
-// reproduces the exact global FIFO order of the single-queue backend.
+// time; a shard of the ShardedEngine owns its local time) and supply the
+// `seq` tiebreak explicitly (global in the Scheduler, per shard in the
+// ShardedEngine).
 #pragma once
 
 #include <bit>
@@ -186,7 +186,7 @@ class IndexedQueue {
     return file_entry(t, now, seq, index);
   }
 
-  /// Same, for an already-type-erased callable (the sharded backend's
+  /// Same, for an already-type-erased callable (the sharded engine's
   /// cross-shard mailbox path).
   Ref schedule_fn(TimePs t, TimePs now, std::uint64_t seq, EventFn&& fn) {
     const std::uint32_t index = take_slot();

@@ -1,131 +1,74 @@
 #include "sim/sharded.h"
 
+#include <algorithm>
 #include <barrier>
-#include <cstdlib>
 #include <thread>
 
+#include "common/log.h"
 #include "common/trace.h"
 
 namespace tca::sim {
 
 namespace {
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  return end != nullptr && *end == '\0' ? parsed : fallback;
-}
+/// RAII execution context: marks `shard` as executing on this thread.
+class ShardExecScope {
+ public:
+  ShardExecScope(ShardedEngine* engine, std::uint32_t shard, TimePs now)
+      : prev_(detail::t_shard_exec) {
+    detail::t_shard_exec = detail::ShardExec{engine, shard, now};
+  }
+  ShardExecScope(const ShardExecScope&) = delete;
+  ShardExecScope& operator=(const ShardExecScope&) = delete;
+  ~ShardExecScope() { detail::t_shard_exec = prev_; }
+
+  /// Advances the executing shard's visible clock.
+  static void set_now(TimePs now) { detail::t_shard_exec.now = now; }
+
+ private:
+  detail::ShardExec prev_;
+};
 
 }  // namespace
 
 ShardedEngine::ShardedEngine(const Config& cfg) : cfg_(cfg) {
   TCA_ASSERT(cfg_.shards >= 1 && cfg_.shards <= kMaxShards);
   TCA_ASSERT(cfg_.lookahead_ps > 0);
+  TCA_ASSERT(cfg_.threads >= 1);
   shards_.reserve(cfg_.shards);
   for (std::uint32_t s = 0; s < cfg_.shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>(cfg_));
+    shards_.push_back(std::make_unique<Shard>());
   }
   mail_.resize(static_cast<std::size_t>(cfg_.shards) * cfg_.shards);
 }
 
 ShardedEngine::~ShardedEngine() = default;
 
-ShardedEngine::Config ShardedEngine::env_config() {
-  Config cfg;
-  cfg.shards = static_cast<std::uint32_t>(
-      std::clamp<std::uint64_t>(env_u64("TCA_SCHED_SHARDS", 16), 1, kMaxShards));
-  cfg.lookahead_ps = static_cast<TimePs>(
-      env_u64("TCA_SCHED_LOOKAHEAD_PS", 25'000));
-  cfg.threads =
-      static_cast<unsigned>(std::min<std::uint64_t>(
-          env_u64("TCA_SCHED_THREADS", 0), 64));
-  return cfg;
-}
-
 bool ShardedEngine::cancel(std::uint64_t id) {
   const std::uint64_t lo = id & 0xffffffu;
   if (lo == 0) return false;
   const auto shard = static_cast<std::uint32_t>((id >> 24) & 0xffu);
   if (shard >= shards_.size()) return false;
-  if (parallel()) {
-    // During the parallel window only the owning shard's executor may touch
-    // the shard queue; outside the window (setup, between runs) anything
-    // goes — the engine is quiescent.
-    const detail::ShardExec& ex = detail::t_shard_exec;
-    TCA_ASSERT(ex.engine != this || ex.shard == shard);
-  }
+  // During the parallel window only the owning shard's executor may touch
+  // the shard queue; outside the window (setup, between runs) anything
+  // goes — the engine is quiescent.
+  const detail::ShardExec& ex = detail::t_shard_exec;
+  TCA_ASSERT(ex.engine != this || ex.shard == shard);
   const IndexedQueue::Ref ref{static_cast<std::uint32_t>(lo - 1),
                               static_cast<std::uint32_t>(id >> 32)};
-  const bool ok = shards_[shard]->q.cancel(ref);
-  if (ok && !parallel()) refresh_head(shard);
-  return ok;
-}
-
-void ShardedEngine::refresh_head(std::uint32_t shard) {
-  Shard& sh = *shards_[shard];
-  ++sh.version;
-  IndexedQueue::Key k;
-  if (sh.q.peek(now_, &k)) {
-    heads_.push_back(Head{k.time, k.seq, shard, sh.version});
-    std::push_heap(heads_.begin(), heads_.end(), head_later);
-  }
-}
-
-bool ShardedEngine::run_one(TimePs limit) {
-  TCA_ASSERT(!parallel() &&
-             "epoch mode commits whole windows; use run()/run_until()");
-  return run_one_merge(limit);
-}
-
-bool ShardedEngine::run_one_merge(TimePs limit) {
-  while (!heads_.empty()) {
-    const Head h = heads_.front();
-    Shard& sh = *shards_[h.shard];
-    if (h.version != sh.version) {
-      // A later schedule/cancel/pop on this shard replaced its front entry.
-      std::pop_heap(heads_.begin(), heads_.end(), head_later);
-      heads_.pop_back();
-      continue;
-    }
-    if (h.time > limit) return false;
-    IndexedQueue::Key k;
-    const bool have = sh.q.peek(now_, &k);
-    TCA_ASSERT(have && k.time == h.time && k.seq == h.seq);
-    EventFn fn;
-    sh.q.pop_min(&fn);
-    std::pop_heap(heads_.begin(), heads_.end(), head_later);
-    heads_.pop_back();
-    refresh_head(h.shard);
-    if (h.time != now_) {
-      now_ = h.time;
-      Log::set_now(now_);
-    }
-    ++processed_;
-    ArenaScope arena(&sh.arena);
-    ShardExecScope exec(this, h.shard, now_);
-    fn();
-    return true;
-  }
-  return false;
+  return shards_[shard]->q.cancel(ref);
 }
 
 void ShardedEngine::run_until(TimePs t) {
   TCA_ASSERT(t >= now_);
-  if (parallel()) {
-    run_epochs(t);
-  } else {
-    while (run_one_merge(t)) {
-    }
-  }
-  if (t != kNoLimit && now_ < t) {
-    now_ = t;
-    Log::set_now(now_);
-  }
+  run_epochs(t);
+  // Commit one clock for every shard, so schedules made between runs are
+  // filed against the same `now` the next epoch peeks with.
+  for (const auto& sh : shards_) now_ = std::max(now_, sh->local_now);
+  if (t != kNoLimit) now_ = t;
+  for (const auto& sh : shards_) sh->local_now = now_;
+  Log::set_now(now_);
 }
-
-void ShardedEngine::run() { run_until(kNoLimit); }
 
 bool ShardedEngine::empty() const {
   for (const auto& sh : shards_) {
@@ -137,13 +80,11 @@ bool ShardedEngine::empty() const {
   return true;
 }
 
-std::uint64_t ShardedEngine::processed() const {
-  std::uint64_t total = processed_;
+std::uint64_t ShardedEngine::events_processed() const {
+  std::uint64_t total = 0;
   for (const auto& sh : shards_) total += sh->processed;
   return total;
 }
-
-// --- Epoch mode -------------------------------------------------------------
 
 void ShardedEngine::exec_shard(std::uint32_t shard, TimePs epoch_end,
                                TimePs limit) {
@@ -199,12 +140,11 @@ bool ShardedEngine::plan_epoch(TimePs limit) {
 
 void ShardedEngine::run_epochs(TimePs limit) {
   // The Trace recorder is a process-wide single-threaded singleton; events
-  // recording from parallel shard executors would race. Merge mode is the
-  // tracing configuration.
+  // recording from parallel shard executors would race.
   TCA_ASSERT(!Trace::instance().enabled() &&
-             "tracing requires merge mode (threads == 0)");
-  const unsigned workers = std::max(1u, std::min<unsigned>(
-      cfg_.threads, static_cast<unsigned>(shards_.size())));
+             "the sharded engine cannot run with tracing enabled");
+  const unsigned workers = std::min<unsigned>(
+      cfg_.threads, static_cast<unsigned>(shards_.size()));
 
   if (!plan_epoch(limit)) return;
 

@@ -1,64 +1,47 @@
-// Conservative parallel DES backend: sharded event execution with
+// Conservative parallel DES engine: sharded event execution with
 // link-latency lookahead.
 //
+// A standalone engine beside sim::Scheduler, for shard-confined workloads.
 // The event space is partitioned into shards — one per simulated node or
 // link endpoint — each with its own IndexedQueue, its own FrameArena, and
-// (in parallel runs) its own clock. Two execution modes share the storage:
+// its own clock. All shards advance through lockstep epochs of
+// `lookahead_ps` — the minimum cross-shard link latency,
+// calib::kConservativeLookaheadPs for the TCA fabric — executing their
+// local events with t < epoch_end independently (null-message-free barrier
+// variant of conservative PDES). A cross-shard schedule during the window is
+// legal only at t >= epoch_end (guaranteed when every cross-shard
+// interaction crosses a link with latency >= lookahead; asserted here) and
+// is posted to the per-(src, dst) mailbox. At the epoch barrier, each
+// destination drains its mailboxes in fixed (src ascending, post order)
+// order, assigning fresh destination-local sequence numbers — so the result
+// is deterministic and invariant under the worker-thread count: shard-local
+// event order depends only on (time, per-shard seq), and mailbox-drain
+// order depends only on shard ids and source-side execution order, never on
+// thread interleaving. Epochs jump: the next window starts at the global
+// minimum pending time, so sparse periods cost one barrier, not
+// lookahead-sized busywork.
 //
-//  * Merge mode (threads == 0, the default and what TCA_SCHED_BASELINE=2
-//    selects): single-threaded. A lazy head-heap over the shard fronts pops
-//    the globally earliest event, so execution order is exactly the
-//    (time, global-seq) total order of the single-queue indexed backend —
-//    traces are byte-identical by construction, for any workload, including
-//    the full simulator where a LinkPort delivery synchronously pokes its
-//    peer. What merge mode buys over one big queue is locality: each
-//    shard's events live in that shard's calendar ring and its coroutine
-//    frames recycle through that shard's arena, so a node's working set
-//    stays warm instead of being strided across a global heap interleaved
-//    with 63 other nodes. This is the production configuration and the one
-//    the three-way A/B gate certifies.
-//
-//  * Epoch mode (threads >= 1, opt-in per engine): conservative lockstep
-//    windows. All shards advance through epochs of `lookahead_ps` — the
-//    minimum cross-shard link latency, calib::kConservativeLookaheadPs for
-//    the TCA fabric — executing their local events with t < epoch_end
-//    independently (null-message-free barrier variant of conservative
-//    PDES). A cross-shard schedule during the window is legal only at
-//    t >= epoch_end (guaranteed when every cross-shard interaction crosses
-//    a link with latency >= lookahead; asserted here) and is posted to the
-//    per-(src, dst) mailbox. At the epoch barrier, each destination drains
-//    its mailboxes in fixed (src ascending, post order) order, assigning
-//    fresh destination-local sequence numbers — so the result is
-//    deterministic and invariant under the worker-thread count: shard-local
-//    event order depends only on (time, per-shard seq), and mailbox-drain
-//    order depends only on shard ids and source-side execution order, never
-//    on thread interleaving. Epochs jump: the next window starts at the
-//    global minimum pending time, so sparse periods cost one barrier, not
-//    lookahead-sized busywork.
-//
-//    Epoch-mode restrictions (asserted where cheap): workloads must be
-//    shard-confined — an event may touch only its own shard's state,
-//    schedule into its own shard freely, and schedule cross-shard only at
-//    >= epoch_end; cross-shard posts are fire-and-forget (cancel requires
-//    shard-local ids); the global Trace must be disabled (it is a
-//    single-threaded singleton); Log's clock advances only at barriers.
-//    The full simulator does not meet the first restriction (synchronous
-//    peer pokes inside link delivery), which is exactly why merge mode is
-//    the default: same sharded storage, sequential global order.
+// Restrictions (asserted where cheap): workloads must be shard-confined —
+// an event may touch only its own shard's state, schedule into its own
+// shard freely, and schedule cross-shard only at >= epoch_end; cross-shard
+// posts are fire-and-forget (cancel requires shard-local ids); the global
+// Trace must be disabled (it is a single-threaded singleton); Log's clock
+// advances only at barriers. The full simulator does not meet the first
+// restriction (a LinkPort delivery synchronously pokes its peer), so it runs
+// on sim::Scheduler.
 //
 // Event ids pack (gen << 32) | (shard << 24) | (slot + 1): 24 bits of slot
 // index per shard, 8 bits of shard, generation on top — ids from different
-// shards never collide and 0 stays kInvalidEvent.
+// shards never collide and 0 stays invalid.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
-#include "common/log.h"
 #include "common/units.h"
 #include "sim/arena.h"
 #include "sim/event_fn.h"
@@ -70,8 +53,8 @@ class ShardedEngine;
 
 namespace detail {
 /// Which shard the calling thread is currently executing for (set around
-/// every event fire). Routes untagged schedules to the current shard and
-/// gives epoch-mode workers a shard-local clock through now().
+/// every shard's window). Routes cross-shard schedules to the mailboxes and
+/// gives workers a shard-local clock through now().
 struct ShardExec {
   ShardedEngine* engine = nullptr;
   std::uint32_t shard = 0;
@@ -92,64 +75,41 @@ class ShardedEngine {
     /// calib::kConservativeLookaheadPs (= kCableLatencyPs = 25 ns), which
     /// the default mirrors.
     TimePs lookahead_ps = 25'000;
-    /// Worker threads for epoch mode; 0 selects merge mode.
-    unsigned threads = 0;
-    /// Per-shard calendar geometry (see IndexedQueue). Shard queues use a
-    /// smaller ring than the global indexed backend: 256 ps x 1024 buckets
-    /// ~ 262 ns of horizon per shard.
-    unsigned gran_log2 = 8;
-    unsigned buckets_log2 = 10;
+    /// Worker threads (>= 1). The result does not depend on it.
+    unsigned threads = 1;
   };
 
   static constexpr std::uint32_t kMaxShards = 256;
   static constexpr TimePs kNoLimit = std::numeric_limits<TimePs>::max();
+  /// Per-shard calendar geometry (see IndexedQueue): a smaller ring than
+  /// sim::Scheduler's, 256 ps x 1024 buckets ~ 262 ns of horizon per shard.
+  static constexpr unsigned kGranLog2 = 8;
+  static constexpr unsigned kBucketsLog2 = 10;
 
   explicit ShardedEngine(const Config& cfg);
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
   ~ShardedEngine();
 
-  /// Config resolved from the environment: TCA_SCHED_SHARDS (default 16),
-  /// TCA_SCHED_LOOKAHEAD_PS (default 25000), TCA_SCHED_THREADS (default 0 =
-  /// merge mode). Read once per call, not cached.
-  static Config env_config();
-
-  [[nodiscard]] const Config& config() const { return cfg_; }
   [[nodiscard]] std::uint32_t shard_count() const {
     return static_cast<std::uint32_t>(shards_.size());
   }
-  [[nodiscard]] bool parallel() const { return cfg_.threads > 0; }
 
-  /// Global committed time — or, from inside an executing event in epoch
-  /// mode, the executing shard's local clock (what Delay and schedule_after
-  /// must be relative to).
+  /// Global committed time — or, from inside an executing event, the
+  /// executing shard's local clock (what relative delays must be measured
+  /// against).
   [[nodiscard]] TimePs now() const {
     const detail::ShardExec& ex = detail::t_shard_exec;
     return ex.engine == this ? ex.now : now_;
   }
 
-  /// Shard affinity for untagged schedules: the currently executing shard,
-  /// or shard 0 outside event execution (setup code).
-  [[nodiscard]] std::uint32_t current_shard() const {
-    const detail::ShardExec& ex = detail::t_shard_exec;
-    return ex.engine == this ? ex.shard : 0;
-  }
-
   /// Schedules `fn` on `shard` at absolute time `t`. Returns a cancellable
-  /// id, except for epoch-mode cross-shard posts, which go through the
-  /// mailbox and return kInvalid (fire-and-forget by design: the event has
-  /// no slot until the destination drains it at the barrier).
+  /// id, except for cross-shard posts from inside the window, which go
+  /// through the mailbox and return 0 (fire-and-forget by design: the event
+  /// has no slot until the destination drains it at the barrier).
   template <typename F>
   std::uint64_t schedule(std::uint32_t shard, TimePs t, F&& fn) {
     TCA_ASSERT(shard < shards_.size());
-    Shard& sh = *shards_[shard];
-    if (!parallel()) {
-      TCA_ASSERT(t >= now_);
-      const IndexedQueue::Ref ref =
-          sh.q.schedule(t, now_, seq_++, std::forward<F>(fn));
-      refresh_head(shard);
-      return pack(shard, ref);
-    }
     const detail::ShardExec& ex = detail::t_shard_exec;
     if (ex.engine == this && ex.shard != shard) {
       // Cross-shard post from inside the parallel window: conservative
@@ -161,51 +121,35 @@ class ShardedEngine {
           MailItem{t, EventFn(std::forward<F>(fn))});
       return 0;
     }
-    const TimePs local = ex.engine == this ? sh.local_now : now_;
-    TCA_ASSERT(t >= local);
+    // Outside the window every shard clock equals the committed clock.
+    Shard& sh = *shards_[shard];
+    TCA_ASSERT(t >= sh.local_now);
     const IndexedQueue::Ref ref =
-        sh.q.schedule(t, local, sh.seq++, std::forward<F>(fn));
+        sh.q.schedule(t, sh.local_now, sh.seq++, std::forward<F>(fn));
     return pack(shard, ref);
   }
 
-  /// Cancels a pending event by packed id. Epoch mode: only legal from the
-  /// owning shard's execution context or outside the parallel window.
+  /// Cancels a pending event by packed id. Only legal from the owning
+  /// shard's execution context or outside the parallel window.
   bool cancel(std::uint64_t id);
 
-  /// Merge-mode single step: fires the globally earliest event iff its time
-  /// <= limit. Epoch mode does not support single-stepping (events commit
-  /// a window at a time); asserted.
-  bool run_one(TimePs limit);
-
   /// Runs all events with time <= t, then advances the committed clock to
-  /// t. Dispatches to the merge loop or the epoch loop by mode.
+  /// t (or, for t == kNoLimit, to the last executed event's time).
   void run_until(TimePs t);
 
-  /// Drains the queue completely.
-  void run();
+  /// Drains the engine completely.
+  void run() { run_until(kNoLimit); }
 
   [[nodiscard]] bool empty() const;
-  [[nodiscard]] std::uint64_t processed() const;
-
-  /// Per-shard allocator, exposed so tests can assert frame recycling.
-  [[nodiscard]] FrameArena& arena(std::uint32_t shard) {
-    return shards_[shard]->arena;
-  }
-  [[nodiscard]] const IndexedQueue& queue(std::uint32_t shard) const {
-    return shards_[shard]->q;
-  }
+  [[nodiscard]] std::uint64_t events_processed() const;
 
  private:
-  friend struct detail::ShardExec;
-
   struct Shard {
-    explicit Shard(const Config& cfg)
-        : q(cfg.gran_log2, cfg.buckets_log2) {}
+    Shard() : q(kGranLog2, kBucketsLog2) {}
     FrameArena arena;  // declared before q: pending EventFn frees hit it
     IndexedQueue q;
-    TimePs local_now = 0;     // epoch mode: shard clock
-    std::uint64_t seq = 0;    // epoch mode: shard-local FIFO tiebreak
-    std::uint64_t version = 0;  // merge mode: head-heap invalidation stamp
+    TimePs local_now = 0;   // shard clock
+    std::uint64_t seq = 0;  // shard-local FIFO tiebreak
     std::uint64_t processed = 0;
   };
 
@@ -215,31 +159,12 @@ class ShardedEngine {
     EventFn fn;
   };
 
-  /// Merge-mode head-heap entry: shard `shard`'s front was (time, seq) when
-  /// the shard's mutation counter was `version`. Stale entries (version
-  /// mismatch) are dropped when they surface — the lazy-invalidation
-  /// pattern, so a mutation costs one push instead of a heap rebuild.
-  struct Head {
-    TimePs time;
-    std::uint64_t seq;
-    std::uint32_t shard;
-    std::uint64_t version;
-  };
-  static bool head_later(const Head& a, const Head& b) {
-    return a.time > b.time || (a.time == b.time && a.seq > b.seq);
-  }
-
   static std::uint64_t pack(std::uint32_t shard, IndexedQueue::Ref ref) {
     TCA_ASSERT(ref.index < 0xffffffu && "shard slot space exhausted");
     return (static_cast<std::uint64_t>(ref.gen) << 32) |
            (static_cast<std::uint64_t>(shard) << 24) | (ref.index + 1u);
   }
 
-  /// Pushes shard's current front onto the head heap with a fresh version
-  /// stamp (merge mode, after any mutation of that shard).
-  void refresh_head(std::uint32_t shard);
-
-  bool run_one_merge(TimePs limit);
   void run_epochs(TimePs limit);
   void exec_shard(std::uint32_t shard, TimePs epoch_end, TimePs limit);
   void drain_mail(std::uint32_t dst);
@@ -251,30 +176,8 @@ class ShardedEngine {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::vector<MailItem>> mail_;  // [src * shards + dst]
 
-  TimePs now_ = 0;         // committed global clock
-  TimePs epoch_end_ = 0;   // current window end (epoch mode, set by plan)
-  std::uint64_t seq_ = 0;  // merge mode: global FIFO tiebreak
-  std::uint64_t processed_ = 0;  // merge mode (epoch counts per shard)
-
-  std::vector<Head> heads_;  // merge mode: lazy heap of shard fronts
-};
-
-/// RAII execution context: marks `shard` as executing on this thread.
-class ShardExecScope {
- public:
-  ShardExecScope(ShardedEngine* engine, std::uint32_t shard, TimePs now)
-      : prev_(detail::t_shard_exec) {
-    detail::t_shard_exec = detail::ShardExec{engine, shard, now};
-  }
-  ShardExecScope(const ShardExecScope&) = delete;
-  ShardExecScope& operator=(const ShardExecScope&) = delete;
-  ~ShardExecScope() { detail::t_shard_exec = prev_; }
-
-  /// Advances the executing shard's visible clock (epoch mode pops).
-  static void set_now(TimePs now) { detail::t_shard_exec.now = now; }
-
- private:
-  detail::ShardExec prev_;
+  TimePs now_ = 0;        // committed global clock
+  TimePs epoch_end_ = 0;  // current window end (set by plan_epoch)
 };
 
 }  // namespace tca::sim

@@ -596,13 +596,16 @@ TEST(RuntimeCreate, AcceptsValidConfig) {
   // The moved-into Runtime must be fully usable.
   auto buf = rt.value().alloc_host(0, 4096);
   EXPECT_TRUE(buf.is_ok());
+  // A config that never sets `spec` builds the default 2-node ring.
+  auto dflt = Runtime::create(sched, TcaConfig{});
+  ASSERT_TRUE(dflt.is_ok()) << dflt.status().to_string();
+  EXPECT_EQ(dflt.value().node_count(), 2u);
 }
 
 TEST(RuntimeCreate, RejectsBadNodeCounts) {
   sim::Scheduler sched;
-  // ring(0) is the empty "unspecified" sentinel: the config defers to the
-  // (deprecated) legacy fields, whose default is a valid 2-node ring.
-  EXPECT_TRUE(Runtime::create(sched, small_config(0)).is_ok());
+  // ring(0) is an empty spec: rejected like any other bad shape.
+  EXPECT_FALSE(Runtime::create(sched, small_config(0)).is_ok());
   EXPECT_FALSE(Runtime::create(sched, small_config(1)).is_ok());
   EXPECT_FALSE(Runtime::create(sched, small_config(3)).is_ok());   // not 2^k
   EXPECT_FALSE(Runtime::create(sched, small_config(32)).is_ok());  // > 16
@@ -618,25 +621,6 @@ TEST(RuntimeCreate, RejectsDualRingBelowFourNodes) {
   cfg.spec = fabric::TopologySpec::dual_ring(4);
   EXPECT_TRUE(Runtime::create(sched, cfg).is_ok());
 }
-
-// Deliberate legacy-surface coverage: the deprecated node_count/topology
-// fields must keep working for one release (an empty `spec` defers to
-// them), so this test pins the compatibility path until they are removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(RuntimeCreate, DeprecatedEnumFieldsStillResolve) {
-  sim::Scheduler sched;
-  TcaConfig cfg = small_config();
-  cfg.spec = {};  // empty spec: legacy fields decide
-  cfg.node_count = 4;
-  cfg.topology = fabric::Topology::kDualRing;
-  EXPECT_EQ(Runtime::resolved_topology(cfg),
-            fabric::TopologySpec::dual_ring(4));
-  EXPECT_TRUE(Runtime::create(sched, cfg).is_ok());
-  cfg.node_count = 3;  // legacy path feeds the same per-topology validation
-  EXPECT_FALSE(Runtime::create(sched, cfg).is_ok());
-}
-#pragma GCC diagnostic pop
 
 TEST(RuntimeCreate, RejectsBadBackingStores) {
   sim::Scheduler sched;

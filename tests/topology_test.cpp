@@ -236,18 +236,6 @@ TEST(TorusDegenerateCase, RoutingRegistersMatchRing) {
   }
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(TorusDegenerateCase, DeprecatedRingAccessorsDelegate) {
-  sim::Scheduler sched;
-  SubCluster tca(sched, host_only_cluster(TopologySpec::ring(8)));
-  for (std::uint32_t to = 1; to < 8; ++to) {
-    EXPECT_EQ(tca.ring_hops(0, to), tca.hops(0, to));
-  }
-  EXPECT_EQ(tca.ring_cable_usable(0), tca.cable_usable(0));
-}
-#pragma GCC diagnostic pop
-
 // --- Torus failover acceptance pair (mirrors the PR 3 ring scenario) --------
 
 TEST(TorusFailover, ChainCrossingKilledCableReroutesAndCompletes) {
