@@ -4,12 +4,14 @@
 # a clang-tidy baseline diff (skipped when clang-tidy is not installed),
 # full test suite (soak label excluded — run `ctest -L soak` for the long
 # fault campaigns), the repository benchmark self-test (perfbench/), a
-# sanitizer pass over the fault and collective suites,
+# sanitizer pass over the fault, collective and host-wait suites,
 # a TSan pass over the sharded-scheduler suite (epoch-mode worker threads;
 # skipped when the toolchain or kernel can't run TSan binaries),
 # a ~1 s bench_sim_core smoke run (scheduler speedup tripwire + allocation,
 # determinism and seed-equivalence checks), a bench_sharded_scaling smoke
-# run (epoch-engine hash gates), collective bench smoke runs,
+# run (epoch-engine hash gates), collective bench smoke runs, a
+# simulated-time identity check of the full collective sweeps against the
+# committed BENCH_coll.json,
 # a chaos smoke (seeded campaigns with same-seed replay check + committed
 # corpus replay), and tca_explore smoke invocations (--stats and
 # --workload).
@@ -47,7 +49,8 @@ python3 perfbench/selftest.py
 echo "== fault suites under ASan/UBSan =="
 SAN_BUILD=build-check-asan
 cmake --preset asan > /dev/null
-cmake --build --preset asan -j --target fault_test fault_recovery_test coll_test
+cmake --build --preset asan -j --target fault_test fault_recovery_test coll_test \
+  node_test api_test
 ctest --preset asan -j "$(nproc)"
 
 echo "== sharded scheduler suite under TSan (skips when unsupported) =="
@@ -77,6 +80,35 @@ echo "== bench_sharded_scaling smoke =="
 echo "== collective bench smoke =="
 "$BUILD"/bench/bench_coll_allreduce --smoke
 "$BUILD"/bench/bench_coll_halo --smoke
+
+echo "== simulated-time identity (collective sweeps vs BENCH_coll.json) =="
+# A host-only change (event plumbing, allocation, waits) must not move one
+# simulated picosecond: rerun both full sweeps (~2 s) and compare every
+# coll_ps / mpi_ps with the committed BENCH_coll.json, naming the first row
+# that differs.
+"$BUILD"/bench/bench_coll_allreduce --json "$BUILD"/coll_allreduce.json \
+  > /dev/null
+"$BUILD"/bench/bench_coll_halo --json "$BUILD"/coll_halo.json > /dev/null
+python3 - BENCH_coll.json "$BUILD"/coll_allreduce.json \
+  "$BUILD"/coll_halo.json <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    committed = json.load(f)
+for name, path in (("allreduce", sys.argv[2]), ("halo", sys.argv[3])):
+    with open(path) as f:
+        got = json.load(f)["sweep"]
+    want = committed[name]["sweep"]
+    if len(got) != len(want):
+        sys.exit(f"{name}: {len(got)} rows, BENCH_coll.json has {len(want)}")
+    for w, g in zip(want, got):
+        row = {k: v for k, v in w.items() if k.endswith(("nodes", "bytes"))}
+        for field in ("nodes", "bytes", "row_bytes", "coll_ps", "mpi_ps"):
+            if w.get(field) != g.get(field):
+                sys.exit(f"{name} row {row}: {field} = {g.get(field)}, "
+                         f"BENCH_coll.json has {w.get(field)}")
+print("simulated time identical to BENCH_coll.json "
+      f"({sum(len(committed[n]['sweep']) for n in committed)} rows)")
+EOF
 
 echo "== tca_explore --stats smoke =="
 METRICS_JSON=$(mktemp)

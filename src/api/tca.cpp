@@ -485,32 +485,26 @@ sim::Task<> Runtime::notify(std::uint32_t from_node, Buffer host_flag,
 sim::Task<> Runtime::wait_flag(Buffer host_flag, std::uint64_t offset,
                                std::uint32_t expected) {
   TCA_ASSERT(host_flag.is_host());
+  TCA_ASSERT(validate(host_flag, offset, 4).is_ok());
   ++metrics_.wait_flag_ops;
-  for (;;) {
-    std::uint32_t now_value = 0;
-    read(host_flag, offset,
-         std::as_writable_bytes(std::span(&now_value, 1)));
-    if (now_value == expected) co_return;
-    co_await sim::Delay(sched_, calib::kCpuPollIterationPs);
-  }
+  co_await cluster_->node(host_flag.node).cpu().wait_host_word(
+      host_flag.block_offset + offset, node::WordCond::kEq, expected);
 }
 
 sim::Task<Status> Runtime::wait_flag_ge(Buffer host_flag, std::uint64_t offset,
                                         std::uint32_t expected,
                                         TimePs timeout_ps) {
   TCA_ASSERT(host_flag.is_host());
+  TCA_ASSERT(validate(host_flag, offset, 4).is_ok());
   ++metrics_.wait_flag_ops;
-  const TimePs deadline = timeout_ps > 0 ? sched_.now() + timeout_ps : 0;
-  for (;;) {
-    std::uint32_t now_value = 0;
-    read(host_flag, offset,
-         std::as_writable_bytes(std::span(&now_value, 1)));
-    if (now_value >= expected) co_return Status::ok();
-    if (deadline > 0 && sched_.now() >= deadline) {
-      co_return Status{ErrorCode::kTimedOut, "flag wait deadline expired"};
-    }
-    co_await sim::Delay(sched_, calib::kCpuPollIterationPs);
-  }
+  // Not inside the if: GCC 12 miscompiles a co_await of a temporary awaiter
+  // in a condition (the frame crashes on resumption).
+  const bool satisfied =
+      co_await cluster_->node(host_flag.node).cpu().wait_host_word(
+          host_flag.block_offset + offset, node::WordCond::kGe, expected,
+          timeout_ps);
+  if (satisfied) co_return Status::ok();
+  co_return Status{ErrorCode::kTimedOut, "flag wait deadline expired"};
 }
 
 sim::Task<Status> Runtime::memcpy_pio(Buffer dst, std::uint64_t dst_off,

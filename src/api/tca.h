@@ -181,14 +181,16 @@ class Runtime {
   sim::Task<> notify(std::uint32_t from_node, Buffer host_flag,
                      std::uint64_t offset, std::uint32_t value);
 
-  /// Polls a local host flag until it equals `expected`.
+  /// Polls a local host flag until it equals `expected` (the node CPU's
+  /// host-word wait, CpuAgent::wait_host_word). A flag nobody ever sets
+  /// leaves the waiter parked and the scheduler drained.
   sim::Task<> wait_flag(Buffer host_flag, std::uint64_t offset,
                         std::uint32_t expected);
 
   /// Polls a local host flag until it is >= `expected` — the right wait for
   /// monotonic sequence counters, where a waiter may arrive after several
-  /// increments. `timeout_ps` bounds the wait (0 = poll forever); expiry
-  /// returns kTimedOut instead of hanging the simulation.
+  /// increments. `timeout_ps` bounds the wait (0 = unbounded: an unmet
+  /// wait stays parked and the scheduler drains); expiry returns kTimedOut.
   sim::Task<Status> wait_flag_ge(Buffer host_flag, std::uint64_t offset,
                                  std::uint32_t expected,
                                  TimePs timeout_ps = 0);

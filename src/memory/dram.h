@@ -10,6 +10,11 @@
 // capacity. The range stays contiguous, so view()/view_mut() hand out plain
 // spans. AddressSanitizer puts no redzones around mmap'd memory; the range
 // checks below are the only guard.
+//
+// One optional WriteObserver sees every write() after its bytes land; the
+// node's CpuAgent uses it to wake host-memory waits event-driven instead of
+// simulating the spin loop. view_mut() hands out raw storage and bypasses
+// the observer, so no simulated component writes through it.
 #pragma once
 
 #include <sys/mman.h>
@@ -24,6 +29,15 @@
 
 namespace tca::mem {
 
+/// Notified after every Dram::write(); see the file comment.
+class WriteObserver {
+ public:
+  virtual void on_write(std::uint64_t offset, std::uint64_t len) = 0;
+
+ protected:
+  ~WriteObserver() = default;
+};
+
 class Dram {
  public:
   explicit Dram(std::uint64_t size_bytes) : data_(map(size_bytes)) {}
@@ -33,7 +47,11 @@ class Dram {
   void write(std::uint64_t offset, std::span<const std::byte> src) {
     TCA_ASSERT(in_range(offset, src.size()));
     std::copy(src.begin(), src.end(), data_.get() + offset);
+    if (observer_ != nullptr) observer_->on_write(offset, src.size());
   }
+
+  /// Installs (or, with nullptr, removes) the single write observer.
+  void set_write_observer(WriteObserver* observer) { observer_ = observer; }
 
   void read(std::uint64_t offset, std::span<std::byte> dst) const {
     TCA_ASSERT(in_range(offset, dst.size()));
@@ -46,6 +64,7 @@ class Dram {
     return {data_.get() + offset, len};
   }
 
+  /// Raw mutable access; bypasses the write observer.
   [[nodiscard]] std::span<std::byte> view_mut(std::uint64_t offset,
                                               std::uint64_t len) {
     TCA_ASSERT(in_range(offset, len));
@@ -73,6 +92,7 @@ class Dram {
   }
 
   Storage data_;
+  WriteObserver* observer_ = nullptr;
 };
 
 }  // namespace tca::mem

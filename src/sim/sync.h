@@ -52,12 +52,12 @@ class Trigger {
 
  private:
   void wake_all() {
-    // Move out first: a resumed waiter may wait() again immediately.
-    std::vector<std::coroutine_handle<>> ready;
-    ready.swap(waiters_);
-    for (auto h : ready) {
+    // Resumption is deferred, so no waiter can wait() again (and append)
+    // during this loop; clearing in place keeps the capacity.
+    for (auto h : waiters_) {
       sched_.schedule_after(0, [h] { h.resume(); });
     }
+    waiters_.clear();
   }
 
   Scheduler& sched_;

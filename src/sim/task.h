@@ -11,7 +11,9 @@
 // unfinished Task is allowed (it tears the process down), but the Scheduler
 // must not run again afterwards if the task was waiting on a Delay or
 // Trigger — standard teardown order (components before scheduler, no run
-// after teardown begins) satisfies this.
+// after teardown begins) satisfies this. A task parked in a host-word wait
+// (node::CpuAgent::wait_host_word) unregisters itself and may be torn down
+// mid-run.
 #pragma once
 
 #include <coroutine>

@@ -3,6 +3,8 @@
 // block-stride chains, and flag synchronization.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "api/tca.h"
 
 namespace tca::api {
@@ -481,6 +483,36 @@ TEST(Runtime, WaitFlagGeTimesOutInsteadOfHanging) {
   ASSERT_TRUE(waiter.done());
   EXPECT_EQ(waiter.result().code(), ErrorCode::kTimedOut);
   EXPECT_GE(sched.now(), us(50));
+}
+
+TEST(HostWait, DestroyParkedFlagWaitsBeforeTheirWritesLand) {
+  // Tearing down a task parked in a flag wait unregisters it: the notifies
+  // that would have woken it land afterwards and find nobody to resume.
+  sim::Scheduler sched;
+  Runtime rt(sched, small_config());
+  auto flag = rt.alloc_host(1, 64).value();
+  node::CpuAgent& cpu = rt.cluster().node(1).cpu();
+  std::optional<sim::Task<Status>> ge(rt.wait_flag_ge(flag, 0, 1, us(20)));
+  std::optional<sim::Task<TimePs>> poll(
+      cpu.poll_host_until_change(flag.block_offset + 4, 0));
+  sim::spawn([](Runtime& r, Buffer f) -> sim::Task<> {
+    co_await sim::Delay(r.scheduler(), us(1));
+    co_await r.notify(0, f, 0, 1);
+    co_await r.notify(0, f, 4, 1);
+  }(rt, flag));
+
+  sched.run_until(ns(500));
+  ge.reset();
+  poll.reset();
+  sched.run();
+  std::uint32_t words[2] = {};
+  rt.read(flag, 0, std::as_writable_bytes(std::span(words)));
+  EXPECT_EQ(words[0], 1u);
+  EXPECT_EQ(words[1], 1u);
+  EXPECT_LT(sched.now(), us(20));  // the deadline check went with the task
+  EXPECT_EQ(cpu.poll_iterations(),
+            static_cast<std::uint64_t>(ns(500) / calib::kCpuPollIterationPs) +
+                1);
 }
 
 TEST(Runtime, MemcpyPioForcesPioAboveTheDmaThreshold) {

@@ -3,7 +3,12 @@
 // peer-to-peer throttling the paper reports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <optional>
+
 #include "calib/calibration.h"
+#include "common/rng.h"
 #include "node/compute_node.h"
 #include "sim/scheduler.h"
 
@@ -126,6 +131,327 @@ TEST(CpuAgent, PollDetectsChange) {
   EXPECT_GE(detected, us(10));
   EXPECT_LE(detected, us(10) + calib::kCpuPollIterationPs +
                            calib::kCpuPollDetectPs);
+}
+
+// --- Host-word waits against the spun loop ----------------------------------
+//
+// CpuAgent::wait_host_word wakes on writes instead of simulating every
+// kCpuPollIterationPs read. The oracle is the loop it replaced, kept here
+// only: seeded random schedules run once through each, and every waiter
+// must finish at the same picosecond with the same result, with the same
+// poll_iterations() at every sample.
+
+constexpr TimePs kPoll = calib::kCpuPollIterationPs;
+
+struct OracleWait {
+  TimePs start = 0;
+  std::uint64_t offset = 0;
+  WordCond cond = WordCond::kEq;
+  std::uint32_t value = 0;
+  TimePs timeout = 0;
+  bool poll = false;  // poll_host_until_change (kNe, counted, detect tail)
+};
+
+struct OracleWrite {
+  TimePs at = 0;
+  std::uint64_t offset = 0;
+  std::vector<std::byte> bytes;
+  // Filed this long before it lands (kHostWriteCommitPs for an RC commit);
+  // negative: filed when the schedule is set up, before anything runs.
+  TimePs lead = -1;
+};
+
+struct OracleOutcome {
+  bool done = false;
+  TimePs at = 0;
+  bool satisfied = false;
+  bool operator==(const OracleOutcome&) const = default;
+};
+
+struct OracleSchedule {
+  std::vector<std::uint32_t> initial;  // one word per slot
+  std::vector<OracleWait> waits;
+  std::vector<OracleWrite> writes;
+  std::vector<std::size_t> setup_order;  // waits then writes, shuffled
+  std::vector<TimePs> samples;           // run_until points, last = horizon
+};
+
+constexpr std::uint64_t kOracleBase = 0x100;
+constexpr std::uint64_t kOracleWords = 3;
+
+bool holds(WordCond cond, std::uint32_t word, std::uint32_t value) {
+  switch (cond) {
+    case WordCond::kEq:
+      return word == value;
+    case WordCond::kGe:
+      return word >= value;
+    case WordCond::kNe:
+      return word != value;
+  }
+  return false;
+}
+
+// The spun loop: one read now and every kCpuPollIterationPs after, the value
+// checked before the deadline.
+sim::Task<bool> spun_wait(sim::Scheduler& sched, mem::Dram& dram,
+                          OracleWait w, std::uint64_t& reads) {
+  const TimePs deadline = w.timeout > 0 ? sched.now() + w.timeout : 0;
+  for (;;) {
+    if (w.poll) ++reads;
+    std::uint32_t word = 0;
+    dram.read(w.offset, std::as_writable_bytes(std::span(&word, 1)));
+    if (holds(w.cond, word, w.value)) co_return true;
+    if (deadline > 0 && sched.now() >= deadline) co_return false;
+    co_await sim::Delay(sched, kPoll);
+  }
+}
+
+sim::Task<> run_oracle_wait(sim::Scheduler& sched, ComputeNode& n,
+                            OracleWait w, bool spun, std::uint64_t& reads,
+                            OracleOutcome& out) {
+  bool satisfied = true;
+  if (spun) {
+    satisfied = co_await spun_wait(sched, n.host_dram(), w, reads);
+    if (w.poll) co_await sim::Delay(sched, calib::kCpuPollDetectPs);
+  } else if (w.poll) {
+    co_await n.cpu().poll_host_until_change(w.offset, w.value);
+  } else {
+    satisfied = co_await n.cpu().wait_host_word(w.offset, w.cond, w.value,
+                                                w.timeout);
+  }
+  out = {true, sched.now(), satisfied};
+}
+
+OracleSchedule random_schedule(std::uint64_t seed) {
+  Rng rng(seed);
+  OracleSchedule s;
+  for (std::uint64_t i = 0; i < kOracleWords; ++i) {
+    s.initial.push_back(static_cast<std::uint32_t>(rng.next_below(3)));
+  }
+  // Few distinct starts, so waiters often share a poll grid (and a word).
+  const TimePs starts[] = {ns(200), ns(225), ns(250) + 1, ns(300)};
+  const std::size_t n_waits = rng.next_in(1, 3);
+  std::vector<TimePs> instants;
+  for (std::size_t i = 0; i < n_waits; ++i) {
+    OracleWait w;
+    w.start = starts[rng.next_below(4)];
+    w.offset = kOracleBase + 4 * rng.next_below(kOracleWords);
+    w.poll = rng.next_below(4) == 0;
+    w.cond = w.poll ? WordCond::kNe
+                    : static_cast<WordCond>(rng.next_below(3));
+    w.value = static_cast<std::uint32_t>(rng.next_below(3));
+    if (!w.poll && rng.next_below(2) == 0) {
+      const TimePs nudge[] = {0, -1, 1, static_cast<TimePs>(
+                                            rng.next_in(1, kPoll - 1))};
+      w.timeout = static_cast<TimePs>(rng.next_in(1, 12)) * kPoll +
+                  nudge[rng.next_below(4)];
+      const TimePs grid_deadline =
+          w.start + (w.timeout + kPoll - 1) / kPoll * kPoll;
+      instants.push_back(grid_deadline);  // satisfied-at-deadline cases
+      instants.push_back(grid_deadline - kPoll);
+    }
+    instants.push_back(w.start);
+    for (int k = 0; k < 4; ++k) {
+      instants.push_back(w.start +
+                         static_cast<TimePs>(rng.next_in(1, 14)) * kPoll);
+    }
+    s.waits.push_back(w);
+  }
+  const std::size_t n_writes = rng.next_in(0, 8);
+  for (std::size_t i = 0; i < n_writes; ++i) {
+    OracleWrite wr;
+    const TimePs jitter[] = {0, 0, -1, 1,
+                             static_cast<TimePs>(rng.next_below(kPoll))};
+    wr.at = std::max<TimePs>(
+        instants[rng.next_below(instants.size())] + jitter[rng.next_below(5)],
+        0);
+    if (rng.next_below(6) == 0) wr.at = static_cast<TimePs>(rng.next_below(
+                                    static_cast<std::uint64_t>(ns(200))));
+    if (wr.at >= calib::kHostWriteCommitPs && rng.next_below(2) == 0) {
+      wr.lead = calib::kHostWriteCommitPs;
+    }
+    const std::uint64_t word = rng.next_below(kOracleWords);
+    const std::uint64_t shape = rng.next_below(8);
+    std::size_t len = 4;
+    wr.offset = kOracleBase + 4 * word;
+    if (shape == 0) {  // upper half of a word only
+      wr.offset += 2;
+      len = 2;
+    } else if (shape == 1 && word + 1 < kOracleWords) {  // two words at once
+      len = 8;
+    }
+    for (std::size_t b = 0; b < len; ++b) {
+      wr.bytes.push_back(static_cast<std::byte>(
+          b % 4 == 0 ? rng.next_below(3) : rng.next_below(4) == 0));
+    }
+    s.writes.push_back(std::move(wr));
+  }
+  for (std::size_t i = 0; i < s.waits.size() + s.writes.size(); ++i) {
+    s.setup_order.push_back(i);
+  }
+  for (std::size_t i = s.setup_order.size(); i > 1; --i) {
+    std::swap(s.setup_order[i - 1], s.setup_order[rng.next_below(i)]);
+  }
+  TimePs horizon = ns(300) + 14 * kPoll;
+  for (const OracleWrite& wr : s.writes) horizon = std::max(horizon, wr.at);
+  horizon += 2 * kPoll + calib::kCpuPollDetectPs;
+  s.samples = {ns(200) + static_cast<TimePs>(rng.next_below(
+                             static_cast<std::uint64_t>(12 * kPoll))),
+               horizon};
+  return s;
+}
+
+struct OracleRun {
+  std::vector<OracleOutcome> outcomes;
+  std::vector<std::uint64_t> reads_at_samples;
+};
+
+OracleRun run_schedule(const OracleSchedule& s, bool spun) {
+  sim::Scheduler sched;
+  ComputeNode n(sched, 0, small_config());
+  for (std::uint64_t i = 0; i < kOracleWords; ++i) {
+    n.cpu().write_host(kOracleBase + 4 * i,
+                       std::as_bytes(std::span(&s.initial[i], 1)));
+  }
+  OracleRun run;
+  run.outcomes.resize(s.waits.size());
+  std::uint64_t spun_reads = 0;
+  std::vector<sim::Task<>> tasks(s.waits.size());
+  for (std::size_t idx : s.setup_order) {
+    if (idx < s.waits.size()) {
+      const OracleWait& w = s.waits[idx];
+      sched.schedule_at(w.start, [&, idx] {
+        tasks[idx] = run_oracle_wait(sched, n, s.waits[idx], spun, spun_reads,
+                                     run.outcomes[idx]);
+      });
+      continue;
+    }
+    const OracleWrite& wr = s.writes[idx - s.waits.size()];
+    std::function<void()> land = [&n, &wr] {
+      n.host_dram().write(wr.offset, wr.bytes);
+    };
+    if (wr.lead >= 0) {
+      sched.schedule_at(wr.at - wr.lead, [&sched, land, lead = wr.lead] {
+        sched.schedule_after(lead, land);
+      });
+    } else {
+      sched.schedule_at(wr.at, land);
+    }
+  }
+  for (TimePs t : s.samples) {
+    sched.run_until(t);
+    run.reads_at_samples.push_back(spun ? spun_reads
+                                        : n.cpu().poll_iterations());
+  }
+  // Unfinished tasks are torn down here, parked or mid-spin.
+  return run;
+}
+
+TEST(HostWait, MatchesSpunLoopOnRandomSchedules) {
+  int timeouts = 0, satisfied = 0, parked = 0;
+  for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const OracleSchedule s = random_schedule(seed);
+    const OracleRun spun = run_schedule(s, /*spun=*/true);
+    const OracleRun woken = run_schedule(s, /*spun=*/false);
+    ASSERT_EQ(woken.outcomes, spun.outcomes);
+    ASSERT_EQ(woken.reads_at_samples, spun.reads_at_samples);
+    for (const OracleOutcome& o : spun.outcomes) {
+      if (!o.done) {
+        ++parked;
+      } else if (o.satisfied) {
+        ++satisfied;
+      } else {
+        ++timeouts;
+      }
+    }
+  }
+  // The generator reaches every ending.
+  EXPECT_GT(timeouts, 50);
+  EXPECT_GT(satisfied, 50);
+  EXPECT_GT(parked, 50);
+}
+
+std::vector<std::byte> word_bytes(std::uint32_t v) {
+  const auto b = std::as_bytes(std::span(&v, 1));
+  return {b.begin(), b.end()};
+}
+
+TEST(HostWait, WriteAfterAFailedReadOfTheSameInstantWaitsOnePeriod) {
+  // From t0 = 0, a write of 1 at 120 ns wakes the wait at 150 ns, which
+  // reads 1 and parks again. A write of 2 filed at 140 ns lands at 150 ns
+  // after that read: the spun loop saw it at 200 ns, and so must the wait.
+  OracleSchedule s;
+  s.initial = {0, 0, 0};
+  s.waits = {{.start = 0, .offset = kOracleBase, .value = 2}};
+  s.writes = {{.at = ns(120), .offset = kOracleBase, .bytes = word_bytes(1)},
+              {.at = ns(150),
+               .offset = kOracleBase,
+               .bytes = word_bytes(2),
+               .lead = ns(10)}};
+  s.setup_order = {0, 1, 2};
+  s.samples = {us(1)};
+  const OracleRun spun = run_schedule(s, /*spun=*/true);
+  ASSERT_EQ(spun.outcomes[0], (OracleOutcome{true, ns(200), true}));
+  EXPECT_EQ(run_schedule(s, /*spun=*/false).outcomes, spun.outcomes);
+}
+
+TEST(HostWait, CommitOnTheDeadlineInstantSatisfies) {
+  // The value is checked before the deadline: a commit landing exactly on
+  // the timeout's poll instant still satisfies the wait.
+  sim::Scheduler sched;
+  ComputeNode n(sched, 0, small_config());
+  auto wait = [](CpuAgent& cpu, bool& ok) -> sim::Task<> {
+    ok = co_await cpu.wait_host_word(0x40, WordCond::kGe, 1, 10 * kPoll);
+  };
+  bool ok = false;
+  auto task = wait(n.cpu(), ok);
+  sched.schedule_at(10 * kPoll - calib::kHostWriteCommitPs, [&] {
+    sched.schedule_after(calib::kHostWriteCommitPs, [&n] {
+      std::uint32_t one = 1;
+      n.cpu().write_host(0x40, std::as_bytes(std::span(&one, 1)));
+    });
+  });
+  sched.run();
+  ASSERT_TRUE(task.done());
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(sched.now(), 10 * kPoll);
+}
+
+TEST(HostWait, UnmetWaitParksAndLetsTheSchedulerDrain) {
+  sim::Scheduler sched;
+  ComputeNode n(sched, 0, small_config());
+  auto task = n.cpu().poll_host_until_change(0x40, 0);
+  sched.run();  // no write ever comes: nothing is left to simulate
+  EXPECT_FALSE(task.done());
+  EXPECT_EQ(sched.now(), 0);
+  EXPECT_EQ(n.cpu().poll_iterations(), 1u);
+  sched.run_until(us(1));
+  EXPECT_EQ(n.cpu().poll_iterations(),
+            static_cast<std::uint64_t>(us(1) / kPoll) + 1);
+}
+
+TEST(HostWait, TeardownWhileParkedUnregisters) {
+  sim::Scheduler sched;
+  ComputeNode n(sched, 0, small_config());
+  std::optional<sim::Task<TimePs>> poll(
+      n.cpu().poll_host_until_change(0x80, 0));
+  bool ok = true;
+  auto bounded = [](CpuAgent& cpu, bool& out) -> sim::Task<> {
+    out = co_await cpu.wait_host_word(0x84, WordCond::kGe, 1, us(2));
+  };
+  std::optional<sim::Task<>> waiter(bounded(n.cpu(), ok));
+  sched.schedule_at(ns(500), [&n] {
+    std::uint64_t both = 0x0000'0001'0000'0001ull;
+    n.cpu().write_host(0x80, std::as_bytes(std::span(&both, 1)));
+  });
+  sched.run_until(ns(100));
+  poll.reset();  // parked, before the write lands
+  waiter.reset();
+  sched.run();  // the write and the deadline find nobody to wake
+  EXPECT_EQ(sched.now(), ns(500));
+  EXPECT_EQ(n.cpu().poll_iterations(),
+            static_cast<std::uint64_t>(ns(100) / kPoll) + 1);
 }
 
 TEST(RootComplex, UnroutableTlpCounted) {

@@ -316,6 +316,29 @@ TEST(Trigger, PulseWakesWithoutLatching) {
   EXPECT_FALSE(trig.fired());
 }
 
+TEST(Trigger, RewaitDuringResumptionWaitsForTheNextPulse) {
+  // A pulse wakes the waiters listed when it fires. One that waits again as
+  // soon as it resumes is a new waiter for the next pulse, never a second
+  // wake from the pulse that resumed it.
+  Scheduler sched;
+  Trigger trig(sched);
+  std::vector<int> wakes(2, 0);
+  for (int& n : wakes) {
+    spawn([](Trigger& t, int& count) -> Task<> {
+      for (int round = 0; round < 3; ++round) {
+        co_await t.wait();
+        ++count;
+      }
+    }(trig, n));
+  }
+  for (int pulse = 1; pulse <= 3; ++pulse) {
+    trig.pulse();
+    sched.run();
+    EXPECT_EQ(wakes, (std::vector<int>{pulse, pulse}));
+    EXPECT_EQ(trig.waiter_count(), pulse < 3 ? 2u : 0u);
+  }
+}
+
 // --- Barrier ---------------------------------------------------------------
 
 TEST(Barrier, ReleasesOnlyWhenAllArrive) {
