@@ -25,7 +25,7 @@ TimePs run_concurrent(std::uint32_t nodes, int chains, std::uint32_t descs,
                       std::uint32_t size, DestFn&& dest) {
   DmaRig rig(nodes);
   driver::Peach2Driver& drv = rig.cluster.driver(0);
-  std::vector<sim::Task<TimePs>> tasks;
+  std::vector<sim::Task<driver::ChainResult>> tasks;
   for (int c = 0; c < chains; ++c) {
     std::vector<DmaDescriptor> chain;
     for (std::uint32_t i = 0; i < descs; ++i) {
@@ -40,7 +40,7 @@ TimePs run_concurrent(std::uint32_t nodes, int chains, std::uint32_t descs,
   }
   rig.sched.run();
   TimePs last = 0;
-  for (auto& t : tasks) last = std::max(last, t.result());
+  for (auto& t : tasks) last = std::max(last, t.result().elapsed);
   return last;
 }
 

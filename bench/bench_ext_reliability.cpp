@@ -59,7 +59,7 @@ Run run_with_ber(double ber) {
   // link below.
   (void)replays;
 
-  return Run{units::gbytes_per_second(255ull * 4096, t.result()), 0,
+  return Run{units::gbytes_per_second(255ull * 4096, t.result().elapsed), 0,
              got == want};
 }
 

@@ -38,17 +38,17 @@ int main() {
     // Baseline: single-descriptor chain, interrupt completion.
     auto t_chain = drv.run_chain({desc});
     rig.sched.run();
-    const TimePs chain = t_chain.result();
+    const TimePs chain = t_chain.result().elapsed;
 
     // Polled completion: same chain, status writeback + host spin.
     auto t_polled = drv.run_chain_polled({desc});
     rig.sched.run();
-    const TimePs polled = t_polled.result();
+    const TimePs polled = t_polled.result().elapsed;
 
     // Descriptor-less immediate DMA.
     auto t_imm = drv.run_immediate(desc);
     rig.sched.run();
-    const TimePs imm = t_imm.result();
+    const TimePs imm = t_imm.result().elapsed;
 
     // PIO: CPU store loop through the window (the latency reference).
     std::vector<std::byte> data(size, std::byte{0x3C});

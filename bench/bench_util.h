@@ -106,7 +106,7 @@ struct DmaRig {
              std::vector<peach2::DmaDescriptor> chain) {
     auto t = cluster.driver(driving_node).run_chain(std::move(chain));
     sched.run();
-    return t.result();
+    return t.result().elapsed;
   }
 
   /// Builds a `count`-deep chain of identical-size transfers with the

@@ -46,11 +46,11 @@ echo "== repository benchmark self-test =="
 # names, or traced/untraced digest equality fails here.
 python3 perfbench/selftest.py
 
-echo "== fault suites under ASan/UBSan =="
+echo "== fault, driver and API suites under ASan/UBSan =="
 SAN_BUILD=build-check-asan
 cmake --preset asan > /dev/null
 cmake --build --preset asan -j --target fault_test fault_recovery_test coll_test \
-  node_test api_test
+  node_test api_test driver_test channel_test
 ctest --preset asan -j "$(nproc)"
 
 echo "== sharded scheduler suite under TSan (skips when unsupported) =="

@@ -2,12 +2,26 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <string>
 
 namespace tca::api {
 
 using peach2::DmaDescriptor;
 using peach2::DmaDirection;
 using peach2::TcaTarget;
+
+namespace {
+
+/// A copy rides one descriptor, whose length field is 32 bits wide.
+Status check_descriptor_length(std::uint64_t bytes) {
+  if (bytes <= std::numeric_limits<std::uint32_t>::max()) return Status::ok();
+  return {ErrorCode::kInvalidArgument,
+          "copy of " + std::to_string(bytes) +
+              " bytes exceeds the 32-bit descriptor length field"};
+}
+
+}  // namespace
 
 Status Runtime::validate_config(const TcaConfig& config) {
   // Per-topology shape rules (ring [2, 16], torus extents/route capacity)
@@ -116,16 +130,38 @@ Status Runtime::validate(const Buffer& buf, std::uint64_t offset,
   return Status::ok();
 }
 
-Status Runtime::validate_strided(const Buffer& buf, std::uint64_t offset,
-                                 std::uint64_t stride,
-                                 std::uint64_t block_bytes,
-                                 std::uint32_t count) const {
-  std::uint64_t last_block = 0;  // offset of the final block
-  if (__builtin_mul_overflow(std::uint64_t{count} - 1, stride, &last_block) ||
-      __builtin_add_overflow(last_block, offset, &last_block)) {
-    return {ErrorCode::kOutOfRange, "block-stride extent overflows"};
+Status Runtime::append_strided(Buffer dst, std::uint64_t dst_off,
+                               std::uint64_t dst_stride, Buffer src,
+                               std::uint64_t src_off, std::uint64_t src_stride,
+                               std::uint64_t block_bytes, std::uint32_t count,
+                               std::vector<CopyOp>* ops) const {
+  if (Status st = check_descriptor_length(block_bytes); !st.is_ok()) return st;
+  // validate() of the final block covers every block before it, once the
+  // extent is known not to overflow 64 bits.
+  const auto check_extent = [&](const Buffer& buf, std::uint64_t offset,
+                                std::uint64_t stride) -> Status {
+    std::uint64_t last_block = 0;
+    if (__builtin_mul_overflow(std::uint64_t{count} - 1, stride,
+                               &last_block) ||
+        __builtin_add_overflow(last_block, offset, &last_block)) {
+      return {ErrorCode::kOutOfRange, "block-stride extent overflows"};
+    }
+    return validate(buf, last_block, block_bytes);
+  };
+  if (Status st = check_extent(src, src_off, src_stride); !st.is_ok()) {
+    return st;
   }
-  return validate(buf, last_block, block_bytes);
+  if (Status st = check_extent(dst, dst_off, dst_stride); !st.is_ok()) {
+    return st;
+  }
+  for (std::uint32_t i = 0; i < count; ++i) {
+    ops->push_back(CopyOp{.dst = dst,
+                          .dst_off = dst_off + i * dst_stride,
+                          .src = src,
+                          .src_off = src_off + i * src_stride,
+                          .bytes = block_bytes});
+  }
+  return Status::ok();
 }
 
 Status Runtime::check_reachable(std::uint32_t from, std::uint32_t to) const {
@@ -161,73 +197,33 @@ void Runtime::read(const Buffer& buf, std::uint64_t offset,
   }
 }
 
-sim::Task<Status> Runtime::memcpy_peer(Buffer dst, std::uint64_t dst_off,
-                                       Buffer src, std::uint64_t src_off,
-                                       std::uint64_t bytes) {
-  if (Status st = validate(dst, dst_off, bytes); !st.is_ok()) co_return st;
-  if (Status st = validate(src, src_off, bytes); !st.is_ok()) co_return st;
-  if (Status st = check_reachable(src.node, dst.node); !st.is_ok()) {
-    co_return st;
+Status Runtime::check_copy(std::uint32_t driving_node,
+                          const CopyOp& op) const {
+  if (Status st = validate(op.dst, op.dst_off, op.bytes); !st.is_ok()) {
+    return st;
   }
-  if (bytes == 0) co_return Status::ok();
-
-  ++metrics_.memcpy_ops;
-  metrics_.memcpy_bytes += bytes;
-  const TimePs t0 = sched_.now();
-  driver::Peach2Driver& drv = cluster_->driver(src.node);
-
-  // Short host-sourced messages: PIO store through the mmapped window.
-  if (src.is_host() && bytes <= kPioThreshold) {
-    ++metrics_.pio_ops;
-    std::vector<std::byte> staged(bytes);
-    read(src, src_off, staged);
-    co_await drv.pio_store(global_addr(dst, dst_off), staged);
-    if (obs::sampling_enabled()) {
-      metrics_.memcpy_latency_ps.add_time(sched_.now() - t0);
-    }
-    co_return Status::ok();
+  if (Status st = validate(op.src, op.src_off, op.bytes); !st.is_ok()) {
+    return st;
   }
-  ++metrics_.dma_ops;
-
-  // Everything else: one pipelined DMA descriptor driven by the source
-  // node's PEACH2 (local source requirement == put-only fabric). Channels
-  // are auto-acquired, so concurrent memcpy_peer calls on one node overlap
-  // across the chip's independent DMA engines.
-  std::vector<DmaDescriptor> chain{
-      DmaDescriptor{.src = global_addr(src, src_off),
-                    .dst = global_addr(dst, dst_off),
-                    .length = static_cast<std::uint32_t>(bytes),
-                    .direction = DmaDirection::kPipelined}};
-  const Status st = co_await drv.run_chain_checked(std::move(chain));
-  if (obs::sampling_enabled()) {
-    metrics_.memcpy_latency_ps.add_time(sched_.now() - t0);
+  if (op.src.node != driving_node) {
+    return {ErrorCode::kPermissionDenied,
+            "put-only fabric: batch sources must be local to the driving "
+            "node"};
   }
-  co_return st;
+  return check_reachable(driving_node, op.dst.node);
 }
 
-Status Runtime::build_batch_chain(
-    std::uint32_t driving_node, const std::vector<CopyOp>& ops,
-    std::vector<peach2::DmaDescriptor>* chain) const {
+Status Runtime::build_chain(std::uint32_t driving_node,
+                            std::span<const CopyOp> ops,
+                            std::vector<DmaDescriptor>* chain) const {
   if (ops.size() > calib::kMaxDescriptors) {
     return {ErrorCode::kInvalidArgument,
             "batch exceeds descriptor-chain capacity"};
   }
   chain->reserve(ops.size());
   for (const CopyOp& op : ops) {
-    if (Status st = validate(op.src, op.src_off, op.bytes); !st.is_ok()) {
-      return st;
-    }
-    if (Status st = validate(op.dst, op.dst_off, op.bytes); !st.is_ok()) {
-      return st;
-    }
-    if (op.src.node != driving_node) {
-      return {ErrorCode::kPermissionDenied,
-              "put-only fabric: batch sources must be local to the "
-              "driving node"};
-    }
-    if (Status st = check_reachable(driving_node, op.dst.node); !st.is_ok()) {
-      return st;
-    }
+    if (Status st = check_copy(driving_node, op); !st.is_ok()) return st;
+    if (Status st = check_descriptor_length(op.bytes); !st.is_ok()) return st;
     chain->push_back(
         DmaDescriptor{.src = global_addr(op.src, op.src_off),
                       .dst = global_addr(op.dst, op.dst_off),
@@ -237,65 +233,82 @@ Status Runtime::build_batch_chain(
   return Status::ok();
 }
 
+sim::Task<driver::ChainResult> Runtime::submit(
+    std::uint32_t driving_node, std::vector<DmaDescriptor> chain,
+    std::span<const CopyOp> ops, SyncOptions options) {
+  // Captures fit std::function's inline buffer: no allocation per chain.
+  co_return co_await cluster_->driver(driving_node).run_chain_reliable(
+      std::move(chain), options, [this, &ops]() -> Status {
+        for (const CopyOp& op : ops) {
+          if (Status st = check_reachable(op.src.node, op.dst.node);
+              !st.is_ok()) {
+            return st;
+          }
+        }
+        return Status::ok();
+      });
+}
+
+sim::Task<Status> Runtime::pio_copy(CopyOp op) {
+  if (Status st = check_copy(op.src.node, op); !st.is_ok()) co_return st;
+  if (op.bytes == 0) co_return Status::ok();
+  ++metrics_.memcpy_ops;
+  metrics_.memcpy_bytes += op.bytes;
+  ++metrics_.pio_ops;
+  const TimePs t0 = sched_.now();
+  std::vector<std::byte> staged(op.bytes);
+  read(op.src, op.src_off, staged);
+  co_await cluster_->driver(op.src.node).pio_store(
+      global_addr(op.dst, op.dst_off), staged);
+  if (obs::sampling_enabled()) {
+    metrics_.memcpy_latency_ps.add_time(sched_.now() - t0);
+  }
+  co_return Status::ok();
+}
+
+sim::Task<Status> Runtime::memcpy_peer(Buffer dst, std::uint64_t dst_off,
+                                       Buffer src, std::uint64_t src_off,
+                                       std::uint64_t bytes) {
+  const CopyOp op{.dst = dst,
+                  .dst_off = dst_off,
+                  .src = src,
+                  .src_off = src_off,
+                  .bytes = bytes};
+  // Short host-sourced messages: PIO store through the mmapped window.
+  if (src.is_host() && bytes <= kPioThreshold) co_return co_await pio_copy(op);
+
+  // Everything else: one pipelined DMA descriptor driven by the source
+  // node's PEACH2 (local source requirement == put-only fabric). Channels
+  // are auto-acquired, so concurrent memcpy_peer calls on one node overlap
+  // across the chip's independent DMA engines.
+  std::vector<DmaDescriptor> chain;
+  if (Status st = build_chain(src.node, {&op, 1}, &chain); !st.is_ok()) {
+    co_return st;
+  }
+  if (bytes == 0) co_return Status::ok();
+  ++metrics_.memcpy_ops;
+  metrics_.memcpy_bytes += bytes;
+  ++metrics_.dma_ops;
+  const TimePs t0 = sched_.now();
+  const driver::ChainResult result =
+      co_await submit(src.node, std::move(chain), {&op, 1}, {});
+  if (obs::sampling_enabled()) {
+    metrics_.memcpy_latency_ps.add_time(sched_.now() - t0);
+  }
+  co_return result.status;
+}
+
 sim::Task<Status> Runtime::memcpy_peer_batch(std::uint32_t driving_node,
                                              std::vector<CopyOp> ops) {
   if (ops.empty()) co_return Status::ok();
   std::vector<DmaDescriptor> chain;
-  if (Status st = build_batch_chain(driving_node, ops, &chain); !st.is_ok()) {
+  if (Status st = build_chain(driving_node, ops, &chain); !st.is_ok()) {
     co_return st;
   }
   ++metrics_.batches;
   metrics_.batch_ops += ops.size();
-  co_return co_await cluster_->driver(driving_node).run_chain_checked(
-      std::move(chain));
-}
-
-sim::Task<Status> Runtime::batch_with_policy(std::uint32_t driving_node,
-                                             std::vector<CopyOp> ops,
-                                             SyncOptions options,
-                                             std::uint32_t* retries_out) {
-  *retries_out = 0;
-  if (options.deadline_ps <= 0 && options.max_attempts <= 1) {
-    // Legacy path: wait forever, one attempt.
-    co_return co_await memcpy_peer_batch(driving_node, std::move(ops));
-  }
-  if (ops.empty()) co_return Status::ok();
-  std::vector<DmaDescriptor> chain;
-  if (Status st = build_batch_chain(driving_node, ops, &chain); !st.is_ok()) {
-    co_return st;
-  }
-  ++metrics_.batches;
-  metrics_.batch_ops += ops.size();
-  // Between attempts, ask the fabric manager whether every destination is
-  // still dimension-order reachable: a partition that forms mid-transfer
-  // then surfaces as kUnreachable after the current attempt's deadline
-  // instead of after the full attempts-times-deadline budget.
-  std::vector<std::uint32_t> dst_nodes;
-  for (const CopyOp& op : ops) {
-    if (std::find(dst_nodes.begin(), dst_nodes.end(), op.dst.node) ==
-        dst_nodes.end()) {
-      dst_nodes.push_back(op.dst.node);
-    }
-  }
-  driver::Peach2Driver::RetryPolicy policy{
-      .max_attempts = std::max<std::uint32_t>(1, options.max_attempts),
-      .timeout_ps = options.deadline_ps > 0 ? options.deadline_ps
-                                            : calib::kChainWatchdogPs,
-      .backoff_base_ps = options.backoff_base_ps,
-  };
-  policy.abort_check = [this, driving_node,
-                        dst_nodes = std::move(dst_nodes)]() -> Status {
-    for (const std::uint32_t dst : dst_nodes) {
-      if (Status st = check_reachable(driving_node, dst); !st.is_ok()) {
-        return st;
-      }
-    }
-    return Status::ok();
-  };
-  const driver::Peach2Driver::ChainResult result =
-      co_await cluster_->driver(driving_node).run_chain_reliable(
-          std::move(chain), policy);
-  *retries_out = result.attempts > 0 ? result.attempts - 1 : 0;
+  const driver::ChainResult result =
+      co_await submit(driving_node, std::move(chain), ops, {});
   co_return result.status;
 }
 
@@ -308,29 +321,21 @@ sim::Task<Status> Runtime::memcpy_block_stride(
     co_return Status{ErrorCode::kInvalidArgument,
                      "block count exceeds descriptor-chain capacity"};
   }
-  if (Status st =
-          validate_strided(src, src_off, src_stride, block_bytes, count);
+  std::vector<CopyOp> ops;
+  ops.reserve(count);
+  if (Status st = append_strided(dst, dst_off, dst_stride, src, src_off,
+                                 src_stride, block_bytes, count, &ops);
       !st.is_ok()) {
     co_return st;
   }
-  if (Status st =
-          validate_strided(dst, dst_off, dst_stride, block_bytes, count);
-      !st.is_ok()) {
-    co_return st;
-  }
-
   std::vector<DmaDescriptor> chain;
-  chain.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    chain.push_back(
-        DmaDescriptor{.src = global_addr(src, src_off + i * src_stride),
-                      .dst = global_addr(dst, dst_off + i * dst_stride),
-                      .length = static_cast<std::uint32_t>(block_bytes),
-                      .direction = DmaDirection::kPipelined});
+  if (Status st = build_chain(src.node, ops, &chain); !st.is_ok()) {
+    co_return st;
   }
   ++metrics_.block_stride_ops;
-  co_return co_await cluster_->driver(src.node).run_chain_checked(
-      std::move(chain));
+  const driver::ChainResult result =
+      co_await submit(src.node, std::move(chain), ops, {});
+  co_return result.status;
 }
 
 void Runtime::export_metrics(obs::MetricRegistry& reg) const {
@@ -354,6 +359,7 @@ Status Stream::enqueue_copy(Buffer dst, std::uint64_t dst_off, Buffer src,
                             std::uint64_t src_off, std::uint64_t bytes) {
   if (Status st = rt_.validate(dst, dst_off, bytes); !st.is_ok()) return st;
   if (Status st = rt_.validate(src, src_off, bytes); !st.is_ok()) return st;
+  if (Status st = check_descriptor_length(bytes); !st.is_ok()) return st;
   if (bytes == 0) return Status::ok();
   ops_.push_back(Runtime::CopyOp{.dst = dst,
                                  .dst_off = dst_off,
@@ -370,25 +376,8 @@ Status Stream::enqueue_block_stride(Buffer dst, std::uint64_t dst_off,
                                     std::uint64_t block_bytes,
                                     std::uint32_t count) {
   if (count == 0 || block_bytes == 0) return Status::ok();
-  if (Status st =
-          rt_.validate_strided(src, src_off, src_stride, block_bytes, count);
-      !st.is_ok()) {
-    return st;
-  }
-  if (Status st =
-          rt_.validate_strided(dst, dst_off, dst_stride, block_bytes, count);
-      !st.is_ok()) {
-    return st;
-  }
-
-  for (std::uint32_t i = 0; i < count; ++i) {
-    ops_.push_back(Runtime::CopyOp{.dst = dst,
-                                   .dst_off = dst_off + i * dst_stride,
-                                   .src = src,
-                                   .src_off = src_off + i * src_stride,
-                                   .bytes = block_bytes});
-  }
-  return Status::ok();
+  return rt_.append_strided(dst, dst_off, dst_stride, src, src_off,
+                            src_stride, block_bytes, count, &ops_);
 }
 
 sim::Task<SyncReport> Stream::synchronize(SyncOptions options) {
@@ -448,8 +437,16 @@ sim::Task<SyncReport> Stream::synchronize(SyncOptions options) {
           batch.push_back(group[j].op);
         }
         std::uint32_t retries = 0;
-        status = co_await rt.batch_with_policy(node, std::move(batch),
-                                               sync_opts, &retries);
+        std::vector<DmaDescriptor> chain;
+        status = rt.build_chain(node, batch, &chain);
+        if (status.is_ok()) {
+          ++rt.metrics_.batches;
+          rt.metrics_.batch_ops += count;
+          const driver::ChainResult result =
+              co_await rt.submit(node, std::move(chain), batch, sync_opts);
+          status = result.status;
+          retries = result.attempts - 1;
+        }
         for (std::size_t j = i; j < i + count; ++j) {
           statuses[group[j].index] = status;
           retry_counts[group[j].index] = retries;
@@ -510,49 +507,40 @@ sim::Task<Status> Runtime::wait_flag_ge(Buffer host_flag, std::uint64_t offset,
 sim::Task<Status> Runtime::memcpy_pio(Buffer dst, std::uint64_t dst_off,
                                       Buffer src, std::uint64_t src_off,
                                       std::uint64_t bytes) {
-  if (Status st = validate(dst, dst_off, bytes); !st.is_ok()) co_return st;
-  if (Status st = validate(src, src_off, bytes); !st.is_ok()) co_return st;
   if (!src.is_host()) {
     co_return Status{ErrorCode::kInvalidArgument,
                      "PIO stores source host memory (the CPU issues them)"};
   }
-  if (Status st = check_reachable(src.node, dst.node); !st.is_ok()) {
-    co_return st;
-  }
-  if (bytes == 0) co_return Status::ok();
-  ++metrics_.memcpy_ops;
-  metrics_.memcpy_bytes += bytes;
-  ++metrics_.pio_ops;
-  const TimePs t0 = sched_.now();
-  std::vector<std::byte> staged(bytes);
-  read(src, src_off, staged);
-  co_await cluster_->driver(src.node).pio_store(global_addr(dst, dst_off),
-                                                staged);
-  if (obs::sampling_enabled()) {
-    metrics_.memcpy_latency_ps.add_time(sched_.now() - t0);
-  }
-  co_return Status::ok();
+  co_return co_await pio_copy(CopyOp{.dst = dst,
+                                     .dst_off = dst_off,
+                                     .src = src,
+                                     .src_off = src_off,
+                                     .bytes = bytes});
 }
 
 sim::Task<Status> Runtime::memcpy_peer_reliable(
     Buffer dst, std::uint64_t dst_off, Buffer src, std::uint64_t src_off,
     std::uint64_t bytes, SyncOptions options, std::uint32_t* retries_out) {
-  std::uint32_t retries = 0;
-  Status st = Status::ok();
-  if (bytes > 0) {
-    ++metrics_.memcpy_ops;
-    metrics_.memcpy_bytes += bytes;
-    ++metrics_.dma_ops;
-    std::vector<CopyOp> ops{CopyOp{.dst = dst,
-                                   .dst_off = dst_off,
-                                   .src = src,
-                                   .src_off = src_off,
-                                   .bytes = bytes}};
-    st = co_await batch_with_policy(src.node, std::move(ops), options,
-                                    &retries);
+  if (retries_out != nullptr) *retries_out = 0;
+  if (bytes == 0) co_return Status::ok();
+  ++metrics_.memcpy_ops;
+  metrics_.memcpy_bytes += bytes;
+  ++metrics_.dma_ops;
+  const CopyOp op{.dst = dst,
+                  .dst_off = dst_off,
+                  .src = src,
+                  .src_off = src_off,
+                  .bytes = bytes};
+  std::vector<DmaDescriptor> chain;
+  if (Status st = build_chain(src.node, {&op, 1}, &chain); !st.is_ok()) {
+    co_return st;
   }
-  if (retries_out != nullptr) *retries_out = retries;
-  co_return st;
+  ++metrics_.batches;
+  ++metrics_.batch_ops;
+  const driver::ChainResult result =
+      co_await submit(src.node, std::move(chain), {&op, 1}, options);
+  if (retries_out != nullptr) *retries_out = result.attempts - 1;
+  co_return result.status;
 }
 
 }  // namespace tca::api

@@ -19,6 +19,7 @@
 #include <span>
 #include <vector>
 
+#include "driver/peach2_driver.h"
 #include "fabric/sub_cluster.h"
 #include "obs/metrics.h"
 #include "peach2/tca_layout.h"
@@ -80,19 +81,11 @@ struct ApiMetrics {
   SampleSeries memcpy_latency_ps;
 };
 
-/// Recovery policy for Stream::synchronize(). The default is the legacy
-/// behavior: wait forever, one attempt.
-struct SyncOptions {
-  /// Per-attempt chain deadline. When > 0 the driver arms its watchdog: a
-  /// chain that has not completed by then is aborted and reported as
-  /// kTimedOut instead of hanging the stream.
-  TimePs deadline_ps = 0;
-  /// Attempts per chain (> 1 enables the driver's bounded retry with
-  /// exponential backoff — enough time for a NIOS-serviced ring failover to
-  /// reroute before the doorbell rings again).
-  std::uint32_t max_attempts = 1;
-  TimePs backoff_base_ps = calib::kRetryBackoffBasePs;
-};
+/// Recovery policy for Stream::synchronize() and memcpy_peer_reliable(): a
+/// per-attempt deadline and bounded retry. The driver's one policy struct
+/// (see driver::SyncOptions for the watchdog rule); the default waits
+/// forever on one attempt.
+using driver::SyncOptions;
 
 class Runtime {
  public:
@@ -228,25 +221,40 @@ class Runtime {
                                           std::uint64_t offset) const;
   Status validate(const Buffer& buf, std::uint64_t offset,
                   std::uint64_t bytes) const;
-  /// validate() over `count` blocks of `block_bytes` spaced `stride` apart
-  /// from `offset`; an extent that overflows 64 bits is out of range.
-  Status validate_strided(const Buffer& buf, std::uint64_t offset,
-                          std::uint64_t stride, std::uint64_t block_bytes,
-                          std::uint32_t count) const;
+  /// Validates a block-stride transfer — descriptor length, and both
+  /// extents, where one overflowing 64 bits is out of range — then appends
+  /// its `count` copies to `ops`.
+  Status append_strided(Buffer dst, std::uint64_t dst_off,
+                        std::uint64_t dst_stride, Buffer src,
+                        std::uint64_t src_off, std::uint64_t src_stride,
+                        std::uint64_t block_bytes, std::uint32_t count,
+                        std::vector<CopyOp>* ops) const;
   /// kUnreachable when the fabric manager reports `to` partitioned away
   /// from `from` (see fabric::SubCluster::reachable). Checked before every
   /// transfer submission and between retry attempts, so a genuine
   /// partition surfaces promptly instead of as a full deadline timeout.
   Status check_reachable(std::uint32_t from, std::uint32_t to) const;
-  /// Validates a batch and serializes it into a descriptor chain.
-  Status build_batch_chain(std::uint32_t driving_node,
-                           const std::vector<CopyOp>& ops,
-                           std::vector<peach2::DmaDescriptor>* chain) const;
-  /// memcpy_peer_batch with a recovery policy; reports retry count.
-  sim::Task<Status> batch_with_policy(std::uint32_t driving_node,
-                                      std::vector<CopyOp> ops,
-                                      SyncOptions options,
-                                      std::uint32_t* retries_out);
+  /// Checks one copy before any traffic: both extents inside their
+  /// buffers, the source on `driving_node` (put-only fabric), and the
+  /// destination reachable.
+  Status check_copy(std::uint32_t driving_node, const CopyOp& op) const;
+  /// The one descriptor builder: check_copy() on every op plus the
+  /// chain-capacity and 32-bit descriptor-length limits, then one pipelined
+  /// descriptor per op.
+  Status build_chain(std::uint32_t driving_node, std::span<const CopyOp> ops,
+                     std::vector<peach2::DmaDescriptor>* chain) const;
+  /// The one chain runner: submits `chain`, built from `ops`, on
+  /// `driving_node`'s driver under `options`. Between attempts it asks the
+  /// fabric manager whether every destination in `ops` is still reachable,
+  /// so a partition that forms mid-transfer surfaces as kUnreachable after
+  /// the current attempt instead of after the whole retry budget. `ops`
+  /// must outlive the returned task.
+  sim::Task<driver::ChainResult> submit(
+      std::uint32_t driving_node, std::vector<peach2::DmaDescriptor> chain,
+      std::span<const CopyOp> ops, SyncOptions options);
+  /// The one PIO copy: checks `op`, then the source node's CPU stores the
+  /// bytes through the mmapped window.
+  sim::Task<Status> pio_copy(CopyOp op);
 
   sim::Scheduler& sched_;
   // unique_ptr: the sub-cluster schedules fault events and NIOS listeners

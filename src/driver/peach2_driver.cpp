@@ -1,5 +1,6 @@
 #include "driver/peach2_driver.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/log.h"
@@ -134,7 +135,17 @@ sim::Task<> Peach2Driver::error_isr(std::uint64_t bits) {
   co_await write_register(regs::kErrAck, bits);
 }
 
-sim::Task<TimePs> Peach2Driver::run_chain(
+Status Peach2Driver::dmac_status(int channel) const {
+  const peach2::DmaController& engine = chip_.dmac(channel);
+  if ((engine.status() & regs::kDmaStatusError) == 0) return Status::ok();
+  const std::uint64_t info = engine.error_info();
+  const auto code = static_cast<ErrorCode>(info >> 32);
+  return {code == ErrorCode::kOk ? ErrorCode::kInternal : code,
+          "DMA chain error at descriptor " +
+              std::to_string(info & 0xffffffff)};
+}
+
+sim::Task<ChainResult> Peach2Driver::run_chain(
     std::vector<peach2::DmaDescriptor> chain, int channel, TimePs timeout_ps) {
   const auto ch = static_cast<std::size_t>(channel);
   TCA_ASSERT(!dma_in_flight_[ch] && "channel already has a chain in flight");
@@ -181,19 +192,11 @@ sim::Task<TimePs> Peach2Driver::run_chain(
   // from the DMAC in the PEACH2 driver."
   const TimePs elapsed = node_.cpu().scheduler().now() - t0;
   if (watchdog != sim::Scheduler::kInvalidEvent) node_.cpu().scheduler().cancel(watchdog);
-
-  if (timed_out) {
-    last_status_[ch] = Status{ErrorCode::kTimedOut, "chain watchdog expired"};
-  } else if ((chip_.dmac(channel).status() & regs::kDmaStatusError) != 0) {
-    const std::uint64_t info = chip_.dmac(channel).error_info();
-    const auto code = static_cast<ErrorCode>(info >> 32);
-    last_status_[ch] =
-        Status{code == ErrorCode::kOk ? ErrorCode::kInternal : code,
-               "DMA chain error at descriptor " +
-                   std::to_string(info & 0xffffffff)};
-  } else {
-    last_status_[ch] = Status::ok();
-  }
+  ChainResult result{
+      .status = timed_out ? Status{ErrorCode::kTimedOut, "chain watchdog expired"}
+                          : dmac_status(channel),
+      .elapsed = elapsed,
+      .attempts = 1};
 
   co_await write_register(regs::dma_bank(channel, regs::kDmaBankIntAck), 1);
   dma_in_flight_[ch] = false;
@@ -206,52 +209,41 @@ sim::Task<TimePs> Peach2Driver::run_chain(
             std::to_string(channel),
         t0, t0 + elapsed);
   }
-  co_return elapsed;
+  co_return result;
 }
 
-sim::Task<TimePs> Peach2Driver::run_chain_auto(
-    std::vector<peach2::DmaDescriptor> chain) {
-  co_await channel_sem_.acquire();
-  TCA_ASSERT(!free_channels_.empty());
-  const int channel = free_channels_.back();  // tca-protocol: acquire(dma-channel)
-  free_channels_.pop_back();
-  const TimePs elapsed = co_await run_chain(std::move(chain), channel);
-  free_channels_.push_back(channel);  // tca-protocol: release(dma-channel)
-  channel_sem_.release();
-  co_return elapsed;
-}
-
-sim::Task<Status> Peach2Driver::run_chain_checked(
-    std::vector<peach2::DmaDescriptor> chain) {
-  co_await channel_sem_.acquire();
-  TCA_ASSERT(!free_channels_.empty());
-  const int channel = free_channels_.back();  // tca-protocol: acquire(dma-channel)
-  free_channels_.pop_back();
-  co_await run_chain(std::move(chain), channel);
-  const Status status = chain_status(channel);
-  free_channels_.push_back(channel);  // tca-protocol: release(dma-channel)
-  channel_sem_.release();
-  co_return status;
-}
-
-sim::Task<Peach2Driver::ChainResult> Peach2Driver::run_chain_reliable(
-    std::vector<peach2::DmaDescriptor> chain, RetryPolicy policy) {
-  TCA_ASSERT(policy.max_attempts > 0);
+sim::Task<ChainResult> Peach2Driver::run_chain_reliable(
+    std::vector<peach2::DmaDescriptor> chain, SyncOptions options,
+    std::function<Status()> abort_check) {
+  const std::uint32_t max_attempts =
+      std::max<std::uint32_t>(1, options.max_attempts);
+  // The watchdog rule (see SyncOptions).
+  const TimePs timeout_ps = options.deadline_ps > 0 ? options.deadline_ps
+                            : max_attempts > 1      ? calib::kChainWatchdogPs
+                                                    : 0;
   co_await channel_sem_.acquire();
   TCA_ASSERT(!free_channels_.empty());
   const int channel = free_channels_.back();  // tca-protocol: acquire(dma-channel)
   free_channels_.pop_back();
 
   ChainResult result;
-  TimePs backoff = policy.backoff_base_ps;
-  for (std::uint32_t attempt = 1; attempt <= policy.max_attempts; ++attempt) {
+  TimePs backoff = calib::kRetryBackoffBasePs;
+  for (std::uint32_t attempt = 1;; ++attempt) {
+    const bool last = attempt == max_attempts;
+    // Earlier attempts run a copy; the final one takes the chain itself.
+    // A plain if: written as `last ? std::move(chain) : copy` inside the
+    // co_await operand, GCC 12 moved the chain out on every attempt.
+    std::vector<peach2::DmaDescriptor> attempt_chain;
+    if (last) {
+      attempt_chain = std::move(chain);
+    } else {
+      attempt_chain = chain;
+    }
+    result = co_await run_chain(std::move(attempt_chain), channel, timeout_ps);
     result.attempts = attempt;
-    result.elapsed = co_await run_chain(chain, channel, policy.timeout_ps);
-    result.status = chain_status(channel);
-    if (result.status.is_ok()) break;
-    if (attempt == policy.max_attempts) break;
-    if (policy.abort_check) {
-      if (Status verdict = policy.abort_check(); !verdict.is_ok()) {
+    if (result.status.is_ok() || last) break;
+    if (abort_check) {
+      if (Status verdict = abort_check(); !verdict.is_ok()) {
         result.status = verdict;
         break;
       }
@@ -263,7 +255,7 @@ sim::Task<Peach2Driver::ChainResult> Peach2Driver::run_chain_reliable(
                "chain failed (" + result.status.to_string() +
                    "), retrying after backoff");
     co_await sim::Delay(node_.cpu().scheduler(), backoff);
-    backoff *= policy.backoff_multiplier;
+    backoff *= 2;
   }
 
   free_channels_.push_back(channel);  // tca-protocol: release(dma-channel)
@@ -271,8 +263,8 @@ sim::Task<Peach2Driver::ChainResult> Peach2Driver::run_chain_reliable(
   co_return result;
 }
 
-sim::Task<TimePs> Peach2Driver::run_immediate(peach2::DmaDescriptor desc,
-                                              int channel) {
+sim::Task<ChainResult> Peach2Driver::run_immediate(peach2::DmaDescriptor desc,
+                                                   int channel) {
   const auto ch = static_cast<std::size_t>(channel);
   TCA_ASSERT(!dma_in_flight_[ch] && "channel already has a chain in flight");
   dma_in_flight_[ch] = true;
@@ -290,26 +282,18 @@ sim::Task<TimePs> Peach2Driver::run_immediate(peach2::DmaDescriptor desc,
   const TimePs t0 = node_.cpu().scheduler().now();
   co_await write_register(regs::dma_bank(channel, regs::kDmaBankImmKick), 1);
   co_await dma_done_[ch]->wait();
-  const TimePs elapsed = node_.cpu().scheduler().now() - t0;
-
-  if ((chip_.dmac(channel).status() & regs::kDmaStatusError) != 0) {
-    const std::uint64_t info = chip_.dmac(channel).error_info();
-    const auto code = static_cast<ErrorCode>(info >> 32);
-    last_status_[ch] =
-        Status{code == ErrorCode::kOk ? ErrorCode::kInternal : code,
-               "immediate DMA error"};
-  } else {
-    last_status_[ch] = Status::ok();
-  }
+  ChainResult result{.status = dmac_status(channel),
+                     .elapsed = node_.cpu().scheduler().now() - t0,
+                     .attempts = 1};
 
   co_await write_register(regs::dma_bank(channel, regs::kDmaBankIntAck), 1);
   dma_in_flight_[ch] = false;
   ++chains_run_;
-  if (obs::sampling_enabled()) chain_latency_.add_time(elapsed);
-  co_return elapsed;
+  if (obs::sampling_enabled()) chain_latency_.add_time(result.elapsed);
+  co_return result;
 }
 
-sim::Task<TimePs> Peach2Driver::run_chain_polled(
+sim::Task<ChainResult> Peach2Driver::run_chain_polled(
     std::vector<peach2::DmaDescriptor> chain, int channel) {
   const auto ch = static_cast<std::size_t>(channel);
   TCA_ASSERT(!dma_in_flight_[ch] && "channel already has a chain in flight");
@@ -333,15 +317,17 @@ sim::Task<TimePs> Peach2Driver::run_chain_polled(
   const TimePs t0 = node_.cpu().scheduler().now();
   co_await write_register(regs::dma_bank(channel, regs::kDmaBankDoorbell), 1);
   co_await node_.cpu().poll_host_until_change(word_offset, 0);
-  const TimePs elapsed = node_.cpu().scheduler().now() - t0;
+  ChainResult result{.status = dmac_status(channel),
+                     .elapsed = node_.cpu().scheduler().now() - t0,
+                     .attempts = 1};
 
   // Restore interrupt mode for subsequent run_chain callers.
   co_await write_register(regs::dma_bank(channel, regs::kDmaBankWriteback),
                           0);
   dma_in_flight_[ch] = false;
   ++chains_run_;
-  if (obs::sampling_enabled()) chain_latency_.add_time(elapsed);
-  co_return elapsed;
+  if (obs::sampling_enabled()) chain_latency_.add_time(result.elapsed);
+  co_return result;
 }
 
 sim::Task<> Peach2Driver::pio_store(std::uint64_t global_addr,

@@ -62,26 +62,28 @@ struct DriverHostLayout {
   static DriverHostLayout for_dram_size(std::uint64_t dram_bytes);
 };
 
-/// Bounded-retry policy for Peach2Driver::run_chain_reliable: exponential
-/// backoff between attempts, each attempt guarded by the chain watchdog.
-/// (Namespace scope so it can serve as an in-class default argument.)
-struct RetryPolicy {
-  std::uint32_t max_attempts = 3;
-  TimePs timeout_ps = calib::kChainWatchdogPs;
-  TimePs backoff_base_ps = calib::kRetryBackoffBasePs;
-  std::uint32_t backoff_multiplier = 2;
-  /// Optional preflight consulted after a failed attempt, before the next
-  /// doorbell re-ring. A non-OK return stops the retry loop immediately
-  /// with that status — the hook the API layer uses to surface a fabric
-  /// partition as a prompt kUnreachable instead of burning the remaining
-  /// attempts' deadlines against a destination no reroute can reach.
-  std::function<Status()> abort_check;
+/// Recovery policy for a DMA chain: the only one. run_chain_reliable takes
+/// it and the API re-exports it as api::SyncOptions. The default waits
+/// forever on one attempt.
+///
+/// Watchdog rule: each attempt arms `deadline_ps` when it is > 0; otherwise
+/// calib::kChainWatchdogPs when `max_attempts` > 1 (a wedged attempt must
+/// end for the next one to start); otherwise nothing. Attempts after the
+/// first wait calib::kRetryBackoffBasePs, doubling each time.
+struct SyncOptions {
+  /// Per-attempt chain deadline. A chain still running at expiry is
+  /// aborted and the attempt reports kTimedOut instead of hanging.
+  TimePs deadline_ps = 0;
+  /// Doorbell attempts per chain (0 runs one).
+  std::uint32_t max_attempts = 1;
 };
 
-/// Outcome of run_chain_reliable.
+/// Outcome of one chain submission, in any completion mode.
 struct ChainResult {
+  /// kOk, kTimedOut (watchdog fired), the per-descriptor DMAC error, or the
+  /// verdict of run_chain_reliable's abort check.
   Status status;
-  TimePs elapsed = 0;  ///< elapsed time of the final attempt
+  TimePs elapsed = 0;  ///< TSC-measured elapsed time of the final attempt
   std::uint32_t attempts = 0;
 };
 
@@ -104,59 +106,39 @@ class Peach2Driver {
   // --- DMA -------------------------------------------------------------------
   /// Serializes the chain into the descriptor table in host memory, rings
   /// the doorbell over MMIO, and waits for the completion interrupt.
-  /// Returns the TSC-measured elapsed time from just-before-doorbell to the
+  /// `elapsed` is the TSC-measured time from just-before-doorbell to the
   /// interrupt handler's clock read (the paper's measurement method).
   /// `channel` selects one of the kDmaChannels independent engines.
   /// `timeout_ps` > 0 arms a chain watchdog: if the completion interrupt
   /// has not arrived by then, the driver aborts the engine and the chain
-  /// finishes with chain_status() == kTimedOut instead of hanging forever.
-  sim::Task<TimePs> run_chain(std::vector<peach2::DmaDescriptor> chain,
-                              int channel = 0, TimePs timeout_ps = 0);
+  /// finishes with kTimedOut instead of hanging forever.
+  sim::Task<ChainResult> run_chain(std::vector<peach2::DmaDescriptor> chain,
+                                   int channel = 0, TimePs timeout_ps = 0);
 
-  /// Outcome of the most recent run_chain/run_immediate on `channel`:
-  /// kOk, kTimedOut (watchdog fired), or the per-descriptor DMAC error.
-  [[nodiscard]] const Status& chain_status(int channel = 0) const {
-    return last_status_[static_cast<std::size_t>(channel)];
-  }
-
-  using RetryPolicy = driver::RetryPolicy;
-  using ChainResult = driver::ChainResult;
-
-  /// Reliable chain submission: acquires a channel, runs the chain under
-  /// the watchdog, and on failure re-rings the doorbell after exponential
-  /// backoff — giving a NIOS-serviced ring failover time to reroute before
-  /// the retry. Returns the final status plus the attempt count.
+  /// The auto-channel entry point: acquires a free DMA channel (suspending
+  /// while all are busy), runs the chain on it under `options`, and
+  /// releases it. A failed attempt re-rings the doorbell after backoff,
+  /// giving a NIOS-serviced ring failover time to reroute first.
+  /// `abort_check`, when set, is consulted after a failed attempt that has
+  /// attempts left: a non-OK verdict ends the retries with that status (the
+  /// API's hook for surfacing a fabric partition as a prompt kUnreachable).
   sim::Task<ChainResult> run_chain_reliable(
-      std::vector<peach2::DmaDescriptor> chain, RetryPolicy policy = {});
-
-  /// Acquires a free DMA channel (suspending if all are busy), runs the
-  /// chain on it, releases it. The concurrent-friendly entry point the API
-  /// layer uses.
-  sim::Task<TimePs> run_chain_auto(std::vector<peach2::DmaDescriptor> chain);
-
-  /// run_chain_auto plus an error check of the channel that actually ran
-  /// the chain (the DMAC's error bit is per-channel and sticky).
-  sim::Task<Status> run_chain_checked(
-      std::vector<peach2::DmaDescriptor> chain);
+      std::vector<peach2::DmaDescriptor> chain, SyncOptions options = {},
+      std::function<Status()> abort_check = {});
 
   /// Descriptor-less immediate DMA: latches src/dst/len in registers and
   /// kicks — no table in host memory, no table fetch. The low-latency path
   /// for small transfers the paper calls for in Section IV-A1. Takes the
   /// descriptor by value: a coroutine must not keep a reference to a
   /// caller temporary across its suspension points.
-  sim::Task<TimePs> run_immediate(peach2::DmaDescriptor desc,
-                                  int channel = 0);
+  sim::Task<ChainResult> run_immediate(peach2::DmaDescriptor desc,
+                                       int channel = 0);
 
   /// Like run_chain, but completion is signaled by a status writeback into
   /// host memory that the driver polls, instead of an interrupt. Shaves the
   /// interrupt-delivery latency off every chain.
-  sim::Task<TimePs> run_chain_polled(
+  sim::Task<ChainResult> run_chain_polled(
       std::vector<peach2::DmaDescriptor> chain, int channel = 0);
-
-  /// True while a chain is in flight on `channel`.
-  [[nodiscard]] bool dma_busy(int channel = 0) const {
-    return dma_in_flight_[static_cast<std::size_t>(channel)];
-  }
 
   // --- PIO --------------------------------------------------------------------
   /// Store through the mmapped window: `global_addr` is a TCA global
@@ -208,6 +190,9 @@ class Peach2Driver {
   sim::Task<> write_table(std::span<const peach2::DmaDescriptor> chain,
                           int channel);
   sim::Task<> error_isr(std::uint64_t bits);
+  /// The finished chain's outcome from `channel`'s DMAC status register:
+  /// the per-descriptor error it latched, or OK (all completion modes).
+  [[nodiscard]] Status dmac_status(int channel) const;
 
   node::ComputeNode& node_;
   peach2::Peach2Chip& chip_;
@@ -218,8 +203,6 @@ class Peach2Driver {
   std::array<bool, 4> dma_in_flight_{};
   sim::Semaphore channel_sem_;
   std::vector<int> free_channels_;
-
-  std::array<Status, 4> last_status_{};
 
   std::uint64_t chains_run_ = 0;
   std::uint64_t pio_stores_ = 0;

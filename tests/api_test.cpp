@@ -789,5 +789,63 @@ TEST(Runtime, ApiMetricsCountOpsAndPolicy) {
   EXPECT_TRUE(reg.has_counter("fabric.payload_bytes"));
 }
 
+// A descriptor's length field is 32 bits: a longer copy must be refused
+// before any traffic, not truncated to its low 32 bits and reported OK.
+TEST(Runtime, CopiesLongerThanADescriptorAreRejected) {
+  sim::Scheduler sched;
+  TcaConfig config = small_config();
+  config.node_config.host_backing_bytes = 6ull << 30;  // zero-filled on demand
+  Runtime rt(sched, config);
+  constexpr std::uint64_t kBytes = (4ull << 30) + 4096;
+  auto src = rt.alloc_host(0, kBytes).value();
+  auto dst = rt.alloc_host(1, kBytes).value();
+
+  auto peer = rt.memcpy_peer(dst, 0, src, 0, kBytes);
+  auto reliable = rt.memcpy_peer_reliable(
+      dst, 0, src, 0, kBytes, SyncOptions{.deadline_ps = us(500)});
+  auto batch = rt.memcpy_peer_batch(
+      0, {Runtime::CopyOp{.dst = dst, .src = src, .bytes = kBytes}});
+  auto strided = rt.memcpy_block_stride(dst, 0, 0, src, 0, 0, kBytes, 1);
+  sched.run();
+  EXPECT_EQ(peer.result().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(reliable.result().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(batch.result().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(strided.result().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(rt.cluster().driver(0).chains_run(), 0u);
+  EXPECT_EQ(rt.api_metrics().batches, 0u);
+
+  Stream stream(rt);
+  EXPECT_EQ(stream.enqueue_copy(dst, 0, src, 0, kBytes).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(stream.enqueue_block_stride(dst, 0, 0, src, 0, 0, kBytes, 1)
+                .code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(stream.pending(), 0u);
+  // The largest length a descriptor can carry is still accepted.
+  EXPECT_TRUE(stream.enqueue_copy(dst, 0, src, 0, 0xffffffffull).is_ok());
+}
+
+// max_attempts = 0 reaches the driver unclamped by the API; it must run one
+// attempt, not trip an assertion or loop.
+TEST(Runtime, ZeroAttemptsRunsExactlyOneAttempt) {
+  sim::Scheduler sched;
+  Runtime rt(sched, small_config());
+  auto src = rt.alloc_host(0, 16 << 10).value();
+  auto dst = rt.alloc_host(1, 16 << 10).value();
+  rt.write(src, 0, pattern(8192, 91));
+  rt.cluster().set_fabric_up(false);  // every attempt times out
+
+  std::uint32_t retries = 99;
+  auto t = rt.memcpy_peer_reliable(
+      dst, 0, src, 0, 8192,
+      SyncOptions{.deadline_ps = us(50), .max_attempts = 0}, &retries);
+  sched.run();
+  EXPECT_EQ(t.result().code(), ErrorCode::kTimedOut);
+  EXPECT_EQ(retries, 0u);
+  EXPECT_EQ(rt.cluster().driver(0).chains_run(), 1u);
+  EXPECT_EQ(rt.cluster().driver(0).chain_retries(), 0u);
+  EXPECT_EQ(rt.cluster().driver(0).watchdog_timeouts(), 1u);
+}
+
 }  // namespace
 }  // namespace tca::api

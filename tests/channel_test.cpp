@@ -3,6 +3,8 @@
 // the register banks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "api/tca.h"
 #include "common/rng.h"
 #include "fabric/sub_cluster.h"
@@ -48,7 +50,7 @@ TEST(Channels, ConcurrentChainsOnDistinctChannels) {
   auto& tca = rig.cluster;
 
   // Four chains, one per channel, all remote writes to distinct regions.
-  std::vector<sim::Task<TimePs>> tasks;
+  std::vector<sim::Task<ChainResult>> tasks;
   for (int ch = 0; ch < calib::kDmaChannels; ++ch) {
     std::vector<DmaDescriptor> chain{DmaDescriptor{
         .src = drv.internal_global(static_cast<std::uint64_t>(ch) << 16),
@@ -77,7 +79,7 @@ TEST(Channels, ConcurrentChainsOverlapInTime) {
   auto run = [](int chains) {
     Rig rig;
     Peach2Driver& drv = rig.cluster.driver(0);
-    std::vector<sim::Task<TimePs>> tasks;
+    std::vector<sim::Task<ChainResult>> tasks;
     for (int c = 0; c < chains; ++c) {
       std::vector<DmaDescriptor> chain;
       for (std::uint32_t i = 0; i < 64; ++i) {
@@ -104,6 +106,7 @@ TEST(Channels, AutoAcquireRunsMoreChainsThanChannels) {
   Rig rig;
   Peach2Driver& drv = rig.cluster.driver(0);
   int completed = 0;
+  int max_in_flight = 0;
   for (int i = 0; i < 10; ++i) {
     sim::spawn([](Peach2Driver& d, fabric::SubCluster& tca, int idx,
                   int& done) -> sim::Task<> {
@@ -112,12 +115,30 @@ TEST(Channels, AutoAcquireRunsMoreChainsThanChannels) {
           .dst = tca.global_host(1, static_cast<std::uint64_t>(idx) * 8192),
           .length = 8192,
           .direction = DmaDirection::kWrite}};
-      co_await d.run_chain_auto(std::move(chain));
+      const ChainResult result = co_await d.run_chain_reliable(std::move(chain));
+      EXPECT_TRUE(result.status.is_ok()) << result.status.to_string();
+      EXPECT_EQ(result.attempts, 1u);
       ++done;
     }(drv, rig.cluster, i, completed));
   }
+  // Sample how many engines are busy at once while the chains drain.
+  for (int k = 1; k <= 400; ++k) {
+    rig.sched.schedule_at(units::ns(100) * k, [&rig, &max_in_flight] {
+      int busy = 0;
+      for (int ch = 0; ch < calib::kDmaChannels; ++ch) {
+        busy += rig.cluster.chip(0).dmac(ch).busy() ? 1 : 0;
+      }
+      max_in_flight = std::max(max_in_flight, busy);
+    });
+  }
   rig.sched.run();
   EXPECT_EQ(completed, 10);
+  EXPECT_EQ(max_in_flight, calib::kDmaChannels);  // every engine in use
+  std::uint64_t chains = 0;
+  for (int ch = 0; ch < calib::kDmaChannels; ++ch) {
+    chains += rig.cluster.chip(0).dmac(ch).chains_completed();
+  }
+  EXPECT_EQ(chains, 10u);
 
   std::vector<std::byte> got(8192), want(8192);
   for (int i = 0; i < 10; ++i) {
@@ -153,17 +174,18 @@ TEST(Channels, ErrorOnOneChannelDoesNotPoisonOthers) {
                      .direction = DmaDirection::kRead}},
       1);
   rig.sched.run();
+  EXPECT_EQ(bad.result().status.code(), ErrorCode::kInvalidArgument);
   EXPECT_NE(rig.cluster.chip(0).dmac(1).status() & regs::kDmaStatusError, 0u);
   EXPECT_EQ(rig.cluster.chip(0).dmac(0).status() & regs::kDmaStatusError, 0u);
 
-  // Channel 0 still works; checked API reports success.
-  auto ok = drv.run_chain_checked(
+  // Channel 0 still works; the auto-channel entry point reports success.
+  auto ok = drv.run_chain_reliable(
       {DmaDescriptor{.src = drv.internal_global(0),
                      .dst = rig.cluster.global_host(1, 0),
                      .length = 4096,
                      .direction = DmaDirection::kWrite}});
   rig.sched.run();
-  EXPECT_TRUE(ok.result().is_ok());
+  EXPECT_TRUE(ok.result().status.is_ok()) << ok.result().status.to_string();
 }
 
 TEST(Channels, RemoteAcksRouteToTheOwningChannel) {
@@ -216,7 +238,7 @@ TEST(Channels, DirectStartBypassesDriverAndTimesLikeRegisters) {
   // Register path on channel 0.
   auto t = rig.cluster.driver(0).run_chain({desc}, 0);
   rig.sched.run();
-  const TimePs mmio = t.result();
+  const TimePs mmio = t.result().elapsed;
   // Same mechanism, modest bookkeeping differences only.
   EXPECT_NEAR(static_cast<double>(direct), static_cast<double>(mmio),
               static_cast<double>(units::us(1)));

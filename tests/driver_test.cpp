@@ -94,7 +94,7 @@ TEST(Driver, ImmediateBeatsChainOnLatency) {
 
   // The table fetch (~0.9 us) disappears; part of the saving is eaten by
   // the three extra register writes.
-  EXPECT_LT(imm.result(), chain.result() - ns(300));
+  EXPECT_LT(imm.result().elapsed, chain.result().elapsed - ns(300));
 }
 
 TEST(Driver, PolledChainCompletesAndRestoresInterruptMode) {
@@ -118,7 +118,39 @@ TEST(Driver, PolledChainCompletesAndRestoresInterruptMode) {
   auto normal = drv.run_chain({desc});
   rig.sched.run();
   ASSERT_TRUE(normal.done());
-  EXPECT_LT(polled.result(), normal.result());  // no interrupt latency
+  EXPECT_LT(polled.result().elapsed, normal.result().elapsed);  // no interrupt latency
+}
+
+// Polled completion has no interrupt handler to read the DMAC status: the
+// chain's own descriptor error must still come back, not the previous
+// chain's OK.
+TEST(Driver, PolledChainReportsDescriptorError) {
+  Rig rig;
+  Peach2Driver& drv = rig.cluster.driver(0);
+  rig.cluster.chip(0).internal_ram().write(0, pattern(4096, 8));
+  const DmaDescriptor good{.src = drv.internal_global(0),
+                           .dst = rig.cluster.global_host(1, 0x1000),
+                           .length = 4096,
+                           .direction = DmaDirection::kWrite};
+  auto first = drv.run_chain_polled({good});
+  rig.sched.run();
+  ASSERT_TRUE(first.result().status.is_ok());
+
+  // A remote read: the put-only DMAC rejects the descriptor.
+  auto bad = drv.run_chain_polled({DmaDescriptor{
+      .src = rig.cluster.global_host(1, 0),
+      .dst = drv.internal_global(0),
+      .length = 64,
+      .direction = DmaDirection::kRead}});
+  rig.sched.run();
+  ASSERT_TRUE(bad.done());
+  EXPECT_EQ(bad.result().status.code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(bad.result().attempts, 1u);
+
+  // The error is the chain's, not the channel's: the next chain is clean.
+  auto again = drv.run_chain_polled({good});
+  rig.sched.run();
+  EXPECT_TRUE(again.result().status.is_ok());
 }
 
 TEST(Driver, PioStoreSplitsLargeSpansIntoMaxPayloadTlps) {

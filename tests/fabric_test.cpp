@@ -113,7 +113,7 @@ TEST(SubCluster, DmaLocalWriteToHost) {
                                         .direction = DmaDirection::kWrite}});
   sched.run();
   ASSERT_TRUE(t.done());
-  const TimePs elapsed = t.result();
+  const TimePs elapsed = t.result().elapsed;
 
   std::vector<std::byte> out(4096);
   tca.node(0).cpu().read_host(0x1000, out);
@@ -201,7 +201,7 @@ TEST(SubCluster, DmaReadFromGpuIsTranslationLimited) {
   tca.chip(0).internal_ram().read(0, out);
   EXPECT_EQ(out, data);
 
-  const double rate = units::bytes_per_second(kLen, t.result());
+  const double rate = units::bytes_per_second(kLen, t.result().elapsed);
   EXPECT_LT(rate, 900e6);  // the paper's 830 MB/s GPU-read ceiling
   EXPECT_GT(rate, 600e6);
 }
@@ -349,7 +349,7 @@ TEST(SubCluster, PipelinedBeatsTwoPhase) {
                        .length = kLen,
                        .direction = DmaDirection::kPipelined}});
     sched.run();
-    pipelined = t.result();
+    pipelined = t.result().elapsed;
     std::vector<std::byte> out(kLen);
     tca.node(1).cpu().read_host(0x3000, out);
     EXPECT_EQ(out, data);
@@ -474,7 +474,7 @@ TEST(SubCluster, ChainedWritesHit33GBs) {
   sched.run();
   ASSERT_TRUE(t.done());
 
-  const double gbps = gbytes_per_second(255 * 4096, t.result());
+  const double gbps = gbytes_per_second(255 * 4096, t.result().elapsed);
   EXPECT_NEAR(gbps, 3.3, 0.15);
 }
 

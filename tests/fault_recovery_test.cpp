@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "api/tca.h"
@@ -146,7 +147,7 @@ TEST(ErrorRegisters, MaskedErrorsLatchWithoutInterrupting) {
       /*channel=*/0, /*timeout_ps=*/us(50));
   sched.run();
   ASSERT_TRUE(t.done());
-  EXPECT_EQ(drv.chain_status(0).code(), ErrorCode::kTimedOut);
+  EXPECT_EQ(t.result().status.code(), ErrorCode::kTimedOut);
   EXPECT_EQ(drv.error_irqs(), 0u);  // masked: latched, not serviced
   EXPECT_EQ(tca.chip(0).error_interrupts(), 0u);
 
@@ -204,7 +205,7 @@ TEST(Recovery, ChainCrossingKilledCableCompletesViaFailoverAndRetry) {
                      .dst = tca.global_host(1, 0x2000),
                      .length = 64 << 10,
                      .direction = DmaDirection::kWrite}},
-      driver::RetryPolicy{.max_attempts = 3, .timeout_ps = us(200)});
+      driver::SyncOptions{.deadline_ps = us(200), .max_attempts = 3});
   sched.run();
   ASSERT_TRUE(t.done());
 
@@ -318,7 +319,7 @@ TEST(Recovery, StuckDoorbellIsRiddenOutByWatchdogAndBackoff) {
                      .dst = tca.driver(0).host_buffer_global(0x3000),
                      .length = 4096,
                      .direction = DmaDirection::kWrite}},
-      driver::RetryPolicy{.max_attempts = 5, .timeout_ps = us(30)});
+      driver::SyncOptions{.deadline_ps = us(30), .max_attempts = 5});
   sched.run();
   ASSERT_TRUE(t.done());
 
@@ -331,6 +332,43 @@ TEST(Recovery, StuckDoorbellIsRiddenOutByWatchdogAndBackoff) {
   std::vector<std::byte> out(4096);
   tca.node(0).cpu().read_host(0x3000, out);
   EXPECT_EQ(out, data);
+}
+
+// The one watchdog rule: a deadline when given; else the default watchdog
+// when retrying (a swallowed doorbell must end for the retry to ring);
+// else none — a single attempt with no deadline waits forever.
+TEST(Recovery, WatchdogRuleFollowsTheSyncOptions) {
+  const auto run = [](driver::SyncOptions options) {
+    sim::Scheduler sched;
+    auto config = cluster_of(2);
+    config.fault_plan.stuck_doorbell(/*node=*/0, /*channel=*/0, 0, us(50));
+    SubCluster tca(sched, config);
+    auto t = tca.driver(0).run_chain_reliable(
+        {DmaDescriptor{.src = tca.driver(0).internal_global(0),
+                       .dst = tca.driver(0).host_buffer_global(0x3000),
+                       .length = 4096,
+                       .direction = DmaDirection::kWrite}},
+        options);
+    sched.run();
+    return std::tuple(t.done() ? t.result().attempts : 0u,
+                      tca.driver(0).watchdog_timeouts(), sched.now());
+  };
+
+  const auto [retried, retried_timeouts, retried_end] =
+      run({.max_attempts = 2});
+  EXPECT_EQ(retried, 2u);
+  EXPECT_EQ(retried_timeouts, 1u);
+  EXPECT_GE(retried_end, calib::kChainWatchdogPs);
+
+  const auto [deadline, deadline_timeouts, deadline_end] =
+      run({.deadline_ps = us(100), .max_attempts = 2});
+  EXPECT_EQ(deadline, 2u);
+  EXPECT_EQ(deadline_timeouts, 1u);
+  EXPECT_LT(deadline_end, us(200));
+
+  const auto [single, single_timeouts, single_end] = run({});
+  EXPECT_EQ(single, 0u);  // never completes: nothing was armed
+  EXPECT_EQ(single_timeouts, 0u);
 }
 
 // --- Determinism ------------------------------------------------------------
@@ -352,7 +390,7 @@ std::string run_traced_campaign() {
                      .dst = tca.global_host(1, 0x1000),
                      .length = 32 << 10,
                      .direction = DmaDirection::kWrite}},
-      driver::RetryPolicy{.max_attempts = 4, .timeout_ps = us(200)});
+      driver::SyncOptions{.deadline_ps = us(200), .max_attempts = 4});
   sched.run();
   EXPECT_TRUE(t.done());
   EXPECT_TRUE(t.result().status.is_ok()) << t.result().status.to_string();

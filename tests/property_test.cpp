@@ -210,7 +210,7 @@ TEST_P(ConcurrentChannels, DisjointRandomChainsAllLandCorrectly) {
   constexpr std::uint64_t kWindow = 256 << 10;
   std::vector<std::byte> expected(calib::kDmaChannels * kWindow,
                                   std::byte{0});
-  std::vector<sim::Task<TimePs>> tasks;
+  std::vector<sim::Task<driver::ChainResult>> tasks;
   for (int ch = 0; ch < calib::kDmaChannels; ++ch) {
     std::vector<peach2::DmaDescriptor> chain;
     std::uint64_t cursor = 0;

@@ -45,7 +45,7 @@ sim::Task<TimePs> chained_write(SubCluster& tca, std::uint32_t src,
                      .length = 4096,
                      .direction = DmaDirection::kWrite});
   }
-  co_return co_await drv.run_chain(std::move(chain));
+  co_return (co_await drv.run_chain(std::move(chain))).elapsed;
 }
 
 TEST(System, FullDuplexTransfersDoNotInterfere) {

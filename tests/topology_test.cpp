@@ -257,7 +257,7 @@ TEST(TorusFailover, ChainCrossingKilledCableReroutesAndCompletes) {
                      .dst = tca.global_host(1, 0x2000),
                      .length = 64 << 10,
                      .direction = DmaDirection::kWrite}},
-      driver::RetryPolicy{.max_attempts = 3, .timeout_ps = us(200)});
+      driver::SyncOptions{.deadline_ps = us(200), .max_attempts = 3});
   sched.run();
   ASSERT_TRUE(t.done());
 
@@ -290,7 +290,7 @@ TEST(TorusFailover, WithoutFailoverTheWatchdogSurfacesTimedOut) {
                      .dst = tca.global_host(1, 0x2000),
                      .length = 64 << 10,
                      .direction = DmaDirection::kWrite}},
-      driver::RetryPolicy{.max_attempts = 2, .timeout_ps = us(200)});
+      driver::SyncOptions{.deadline_ps = us(200), .max_attempts = 2});
   sched.run();
   ASSERT_TRUE(t.done());
 
@@ -327,7 +327,7 @@ TEST(OverlappingFaults, RetrainWhileSecondSameDimCableDown) {
                      .dst = tca.global_host(1, 0x2000),
                      .length = 64 << 10,
                      .direction = DmaDirection::kWrite}},
-      driver::RetryPolicy{.max_attempts = 8, .timeout_ps = us(200)});
+      driver::SyncOptions{.deadline_ps = us(200), .max_attempts = 8});
   sched.run();
   ASSERT_TRUE(t.done());
   EXPECT_TRUE(t.result().status.is_ok()) << t.result().status.to_string();

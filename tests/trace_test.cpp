@@ -117,7 +117,7 @@ TEST(Trace, TracingDoesNotPerturbTiming) {
     sched.run();
     Trace::instance().disable();
     Trace::instance().clear();
-    return t.result();
+    return t.result().elapsed;
   };
   EXPECT_EQ(measure(false), measure(true));
 }

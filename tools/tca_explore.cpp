@@ -495,27 +495,19 @@ int main(int argc, char** argv) {
         }
         chain.push_back(d);
       }
-      if (opt.deadline_us > 0 || opt.attempts > 1) {
-        auto t = drv.run_chain_reliable(
-            std::move(chain),
-            driver::RetryPolicy{
-                .max_attempts = opt.attempts,
-                .timeout_ps = opt.deadline_us > 0 ? units::us(opt.deadline_us)
-                                                  : calib::kChainWatchdogPs});
-        sched.run();
-        const driver::ChainResult result = t.result();
-        elapsed = result.elapsed;
-        if (!result.status.is_ok()) {
-          std::printf("  size %u: %s after %u attempt(s)\n", size,
-                      result.status.to_string().c_str(), result.attempts);
-        } else if (result.attempts > 1) {
-          std::printf("  size %u: recovered on attempt %u\n", size,
-                      result.attempts);
-        }
-      } else {
-        auto t = drv.run_chain(std::move(chain));
-        sched.run();
-        elapsed = t.result();
+      auto t = drv.run_chain_reliable(
+          std::move(chain),
+          driver::SyncOptions{.deadline_ps = units::us(opt.deadline_us),
+                              .max_attempts = opt.attempts});
+      sched.run();
+      const driver::ChainResult result = t.result();
+      elapsed = result.elapsed;
+      if (!result.status.is_ok()) {
+        std::printf("  size %u: %s after %u attempt(s)\n", size,
+                    result.status.to_string().c_str(), result.attempts);
+      } else if (result.attempts > 1) {
+        std::printf("  size %u: recovered on attempt %u\n", size,
+                    result.attempts);
       }
     }
     table.add_row(
