@@ -2,8 +2,8 @@
 // (time, id, std::function) plus an unordered_set of cancelled-id tombstones
 // checked on every pop.
 //
-// Not part of the simulator. bench_sim_core and bench_sharded_scaling
-// measure sim::Scheduler against it, and scheduler_stress_test uses it as
+// Not part of the simulator. bench_sim_core measures sim::Scheduler
+// against it, and scheduler_stress_test uses it as
 // the ordering reference (same fire order, same times). It implements the
 // subset of the sim::Scheduler API those drivers touch, with the seed's
 // exact costs: a std::function per event (heap-allocated past its small

@@ -1,17 +1,14 @@
 #!/usr/bin/env bash
 # Simulator-core performance measurement (see docs/ARCHITECTURE.md,
-# "Simulator core performance" and "Parallel DES core").
+# "Simulator core performance").
 #
 # Builds Release, then:
 #   1. bench_sim_core — events/sec of sim::Scheduler vs. the frozen seed
 #      queue (bench/seed_scheduler.h) on synthetic churn (gates the >=3x
 #      headline and timer_fire_small >= 1.0x), plus allocation-free /
-#      determinism / seed-equivalence checks.
-#   2. bench_sharded_scaling — ring-sweep wall clock of the conservative
-#      parallel DES engine (gates >=2x over the seed queue at >=64 nodes,
-#      seed == indexed event order, and indexed == epoch T=1 == T=2 per
-#      shard).
-#   3. The collective-library sweeps (bench_coll_allreduce, bench_coll_halo)
+#      determinism / seed-equivalence checks. Its JSON report is
+#      BENCH_sim_core.json as written.
+#   2. The collective-library sweeps (bench_coll_allreduce, bench_coll_halo)
 #      against the conventional MPI/IB stack.
 #
 # Simulated-result drift is checked by diffing bench output between two
@@ -49,33 +46,16 @@ require_in_repo() {
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null || exit 1
 cmake --build "$BUILD" -j --target \
-  bench_sim_core bench_sharded_scaling bench_coll_allreduce \
-  bench_coll_halo > /dev/null || exit 1
+  bench_sim_core bench_coll_allreduce bench_coll_halo > /dev/null || exit 1
 mkdir -p "$OUT"
 
 echo "== bench_sim_core (events/sec: indexed vs. seed queue) =="
-require_in_repo "$OUT/sim_core.json"
-"$BUILD"/bench/bench_sim_core --json "$OUT/sim_core.json" || exit 1
-
-echo
-echo "== bench_sharded_scaling (ring sweep wall clock) =="
-require_in_repo "$OUT/sharded_scaling.json"
-"$BUILD"/bench/bench_sharded_scaling --json "$OUT/sharded_scaling.json" \
-  || exit 1
-
-status=0
-
-# Merge bench_sim_core + bench_sharded_scaling into one JSON (each
-# fragment's last line is its lone closing brace; the scaling fragment's
-# first three lines are "{" and its bench/smoke tags).
-{
-  head -n -1 "$OUT/sim_core.json"
-  echo "  ,"
-  tail -n +4 "$OUT/sharded_scaling.json" | head -n -1
-  echo "}"
-} > "$JSON"
+require_in_repo "$JSON"
+"$BUILD"/bench/bench_sim_core --json "$JSON" || exit 1
 echo
 echo "wrote $JSON"
+
+status=0
 
 echo
 echo "== collective library vs the conventional stack =="

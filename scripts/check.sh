@@ -5,11 +5,8 @@
 # full test suite (soak label excluded — run `ctest -L soak` for the long
 # fault campaigns), the repository benchmark self-test (perfbench/), a
 # sanitizer pass over the fault, collective and host-wait suites,
-# a TSan pass over the sharded-scheduler suite (epoch-mode worker threads;
-# skipped when the toolchain or kernel can't run TSan binaries),
 # a ~1 s bench_sim_core smoke run (scheduler speedup tripwire + allocation,
-# determinism and seed-equivalence checks), a bench_sharded_scaling smoke
-# run (epoch-engine hash gates), collective bench smoke runs, a
+# determinism and seed-equivalence checks), collective bench smoke runs, a
 # simulated-time identity check of the full collective sweeps against the
 # committed BENCH_coll.json,
 # a chaos smoke (seeded campaigns with same-seed replay check + committed
@@ -17,7 +14,7 @@
 # --workload).
 #
 # The build trees are CMake presets (CMakePresets.json): `check` is the
-# Release gate, `asan`/`tsan` the instrumented suites, `perf` the bench
+# Release gate, `asan` the instrumented suites, `perf` the bench
 # tree. For a full instrumented pass: cmake --preset asan && ctest
 # --preset asan (drop the filter by running ctest --test-dir
 # build-check-asan directly).
@@ -53,29 +50,8 @@ cmake --build --preset asan -j --target fault_test fault_recovery_test coll_test
   node_test api_test driver_test channel_test
 ctest --preset asan -j "$(nproc)"
 
-echo "== sharded scheduler suite under TSan (skips when unsupported) =="
-# Epoch mode runs shard workers on real threads; TSan is the gate that the
-# barrier/mailbox protocol stays race-free. Probe first: some toolchains
-# and kernels (ASLR vs tsan shadow ranges) can't run TSan binaries at all —
-# skip gracefully there, like the clang-tidy stage.
-TSAN_BUILD=build-check-tsan
-mkdir -p "$TSAN_BUILD"
-printf 'int main() { return 0; }\n' > "$TSAN_BUILD/tsan_probe.cpp"
-if c++ -fsanitize=thread "$TSAN_BUILD/tsan_probe.cpp" \
-     -o "$TSAN_BUILD/tsan_probe" 2> /dev/null \
-   && "$TSAN_BUILD/tsan_probe" 2> /dev/null; then
-  cmake --preset tsan > /dev/null
-  cmake --build --preset tsan -j --target scheduler_stress_test
-  ctest --preset tsan -j "$(nproc)"
-else
-  echo "TSan probe failed to build or run; skipping the TSan stage"
-fi
-
 echo "== bench_sim_core smoke =="
 "$BUILD"/bench/bench_sim_core --smoke
-
-echo "== bench_sharded_scaling smoke =="
-"$BUILD"/bench/bench_sharded_scaling --smoke
 
 echo "== collective bench smoke =="
 "$BUILD"/bench/bench_coll_allreduce --smoke

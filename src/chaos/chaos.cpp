@@ -9,6 +9,7 @@
 #include "calib/calibration.h"
 #include "coll/communicator.h"
 #include "common/hash.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/trace.h"
 #include "fabric/sub_cluster.h"
@@ -46,19 +47,15 @@ namespace {
 
 Result<std::uint32_t> parse_count(std::string_view text,
                                   std::string_view what) {
-  std::uint32_t n = 0;
   if (text.empty()) {
     return Status(ErrorCode::kInvalidArgument,
                   std::string(what) + ": missing node count");
   }
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return Status(ErrorCode::kInvalidArgument,
-                    std::string(what) + ": bad node count \"" +
-                        std::string(text) + "\"");
-    }
-    n = n * 10 + static_cast<std::uint32_t>(c - '0');
-    if (n > calib::kMaxFabricNodes) break;
+  std::uint32_t n = 0;
+  if (!parse_unsigned(text, &n)) {
+    return Status(ErrorCode::kInvalidArgument,
+                  std::string(what) + ": bad node count \"" +
+                      std::string(text) + "\"");
   }
   return n;
 }
@@ -138,16 +135,12 @@ Result<CampaignSpec> CampaignSpec::parse(std::string_view text) {
     unsigned bit = 0;
     if (key == "seed") {
       bit = 1u << 0;
-      spec.seed = 0;
       if (value.empty()) {
         return Status(ErrorCode::kInvalidArgument, "campaign: empty seed");
       }
-      for (char c : value) {
-        if (c < '0' || c > '9') {
-          return Status(ErrorCode::kInvalidArgument,
-                        "campaign: bad seed \"" + std::string(value) + "\"");
-        }
-        spec.seed = spec.seed * 10 + static_cast<std::uint64_t>(c - '0');
+      if (!parse_unsigned(value, &spec.seed)) {
+        return Status(ErrorCode::kInvalidArgument,
+                      "campaign: bad seed \"" + std::string(value) + "\"");
       }
     } else if (key == "topology") {
       bit = 1u << 1;

@@ -1,9 +1,11 @@
 #include "fabric/fault_plan.h"
 
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "calib/calibration.h"
+#include "common/parse.h"
 #include "fabric/topology.h"
 
 namespace tca::fabric {
@@ -90,15 +92,6 @@ bool parse_double(std::string_view v, double* out) {
   return end == s.c_str() + s.size() && *out >= 0;
 }
 
-bool parse_u32(std::string_view v, std::uint32_t* out) {
-  char* end = nullptr;
-  const std::string s(v);
-  const unsigned long num = std::strtoul(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return false;
-  *out = static_cast<std::uint32_t>(num);
-  return true;
-}
-
 /// Key bits for the per-kind allowed sets and duplicate detection.
 enum KeyBit : unsigned {
   kKeyCable = 1u << 0,
@@ -171,14 +164,15 @@ Result<FaultPlan> FaultPlan::parse(std::string_view spec) {
       bool ok = true;
       if (key == "cable") {
         bit = kKeyCable;
-        ok = parse_u32(value, &e.cable);
+        ok = parse_unsigned(value, &e.cable);
       } else if (key == "node") {
         bit = kKeyNode;
-        ok = parse_u32(value, &e.node);
+        ok = parse_unsigned(value, &e.node);
       } else if (key == "ch") {
         bit = kKeyCh;
         std::uint32_t ch = 0;
-        ok = parse_u32(value, &ch);
+        ok = parse_unsigned(value, &ch) &&
+             ch <= static_cast<std::uint32_t>(std::numeric_limits<int>::max());
         e.channel = static_cast<int>(ch);
       } else if (key == "at") {
         bit = kKeyAt;

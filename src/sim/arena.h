@@ -1,12 +1,12 @@
-// Per-shard frame arena: pooled allocation for coroutine frames and EventFn
-// heap fallbacks.
+// Frame arena: pooled allocation for coroutine frames and EventFn heap
+// fallbacks.
 //
 // Simulated processes (sim::Task coroutines) and oversized event captures are
 // the last steady-state heap traffic in the event core: every Task spawn is a
 // frame malloc and every completion a free, straight through the global
 // allocator. FrameArena replaces that with bump-allocated chunks recycled
-// through size-class free lists, one arena per scheduler shard, so a shard's
-// churn of short-lived frames touches only its own warm memory.
+// through size-class free lists, so the churn of short-lived frames touches
+// only the scheduler's own warm memory.
 //
 // Design:
 //  * allocate() rounds the request up to a 64-byte size class (classes up to
@@ -16,29 +16,25 @@
 //    are never returned to the OS until the arena dies, which is exactly the
 //    recycling that makes per-frame cost a pointer swap.
 //  * Every block carries a one-max_align_t header recording the owning arena
-//    so a block can be freed from a different context than it was allocated
-//    in (a cross-shard mailbox event is built on the source shard and
-//    destroyed on the destination shard). The free-list push/pop is guarded
-//    by a mutex for that reason; it is uncontended in single-threaded runs
-//    and contended only on the rare cross-shard oversized capture.
-//  * arena_alloc()/arena_free() route through the calling thread's current
-//    arena (see ArenaScope), falling back to the global allocator when no
-//    arena is active — allocations made outside scheduler execution (test
-//    setup, main()) behave exactly as before.
+//    (or null for the global heap), so a block can be freed from a different
+//    context than it was allocated in: a frame created outside an event
+//    (test setup, main()) may finish inside one, and vice versa.
+//  * arena_alloc()/arena_free() route through the current arena (see
+//    ArenaScope), falling back to the global allocator when no arena is
+//    active — allocations made outside scheduler execution behave exactly as
+//    before.
 //
 // Lifetime contract: blocks must be freed before their arena dies. The
-// arenas live in the Scheduler (declared before the event queues, destroyed
-// after them), and the repo-wide teardown order — components before
+// arena lives in the Scheduler (declared before the event queue, destroyed
+// after it), and the repo-wide teardown order — components before
 // scheduler — means frames are gone by then.
 //
 // Under AddressSanitizer the pool is disabled (pass-through to the global
-// allocator) so use-after-free of frames stays detectable; ThreadSanitizer
-// keeps the pool, whose mutex makes cross-thread recycling well-synchronized.
+// allocator) so use-after-free of frames stays detectable.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <new>
 #include <vector>
 
@@ -76,7 +72,6 @@ class FrameArena {
 
   void* allocate(std::size_t bytes) {
     const std::size_t cls = (bytes + kClassBytes - 1) / kClassBytes;
-    std::lock_guard<std::mutex> lock(mu_);
     ++allocations_;
     if (FreeBlock*& head = free_[cls]; head != nullptr) {
       FreeBlock* b = head;
@@ -98,7 +93,6 @@ class FrameArena {
 
   void deallocate(void* p, std::size_t bytes) {
     const std::size_t cls = (bytes + kClassBytes - 1) / kClassBytes;
-    std::lock_guard<std::mutex> lock(mu_);
     auto* b = static_cast<FreeBlock*>(p);
     b->next = free_[cls];
     free_[cls] = b;
@@ -120,7 +114,6 @@ class FrameArena {
   };
   static constexpr std::size_t kClasses = kMaxPooledBytes / kClassBytes + 1;
 
-  std::mutex mu_;
   FreeBlock* free_[kClasses] = {};
   std::byte* bump_ = nullptr;
   std::size_t bump_left_ = 0;
@@ -130,8 +123,9 @@ class FrameArena {
 };
 
 namespace detail {
-/// The calling thread's active arena (set by ArenaScope, null outside
-/// scheduler execution). thread_local so parallel shards never share one.
+/// The active arena (set by ArenaScope, null outside scheduler execution).
+/// thread_local so two schedulers driven from different threads never
+/// share one.
 inline thread_local FrameArena* t_current_arena = nullptr;
 }  // namespace detail
 
@@ -142,7 +136,7 @@ inline thread_local FrameArena* t_current_arena = nullptr;
 
 /// RAII activation of an arena for the current thread. The scheduler wraps
 /// event execution in one of these so every frame allocated inside an event
-/// lands in the firing shard's pool.
+/// lands in its pool.
 class ArenaScope {
  public:
   explicit ArenaScope(FrameArena* arena) : prev_(detail::t_current_arena) {

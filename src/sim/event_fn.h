@@ -17,7 +17,6 @@
 // Move-only (so move-only captures work), nothrow-movable, empty-testable.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -85,10 +84,9 @@ class EventFn {
 
   /// Process-wide count of heap-fallback constructions. Steady-state
   /// scheduler traffic must not advance it (asserted by tests and
-  /// bench_sim_core). Atomic: parallel shard executors may take the
-  /// fallback concurrently.
+  /// bench_sim_core).
   static std::uint64_t heap_constructions() noexcept {
-    return heap_constructions_.load(std::memory_order_relaxed);
+    return heap_constructions_;
   }
 
  private:
@@ -123,8 +121,8 @@ class EventFn {
       vt_ = &kVTable<D, true>;
     } else {
       // Oversized capture: the fallback allocation recycles through the
-      // executing shard's FrameArena when one is active (global heap
-      // otherwise — setup code, over-aligned captures).
+      // scheduler's FrameArena when one is active (global heap otherwise —
+      // setup code, over-aligned captures).
       void* p;
       if constexpr (arena_eligible<D>()) {
         p = ::new (arena_alloc(sizeof(D))) D(std::forward<F>(f));
@@ -133,7 +131,7 @@ class EventFn {
       }
       *static_cast<void**>(static_cast<void*>(storage_)) = p;
       vt_ = &kVTable<D, false>;
-      heap_constructions_.fetch_add(1, std::memory_order_relaxed);
+      ++heap_constructions_;
     }
   }
 
@@ -196,7 +194,10 @@ class EventFn {
     }
   }
 
-  inline static std::atomic<std::uint64_t> heap_constructions_{0};
+  // Diagnostic only: tests and benches read deltas of it; no simulated
+  // result depends on it, so it cannot make two runs in one process differ.
+  // tca-lint: allow(det-shard-shared-state): diagnostic-only counter
+  inline static std::uint64_t heap_constructions_ = 0;
 
   alignas(std::max_align_t) std::byte storage_[kInlineBytes];
   const VTable* vt_ = nullptr;

@@ -1,5 +1,4 @@
-// Three-tier indexed event queue: the storage engine behind sim::Scheduler
-// and each shard of sim::ShardedEngine.
+// Three-tier indexed event queue: the storage engine behind sim::Scheduler.
 //
 // Callables live in a slot pool as allocation-free sim::EventFn; small
 // 24-byte (time, seq, slot, gen) entries order them. Slots carry a
@@ -39,10 +38,8 @@
 // so the first live entry in ring order from now's bucket IS that ring's
 // minimum.
 //
-// The queue is clock-less: callers pass `now` in (the Scheduler owns global
-// time; a shard of the ShardedEngine owns its local time) and supply the
-// `seq` tiebreak explicitly (global in the Scheduler, per shard in the
-// ShardedEngine).
+// The queue is clock-less: the Scheduler owns time and the `seq` tiebreak
+// and passes both in.
 #pragma once
 
 #include <bit>
@@ -142,36 +139,31 @@ class IndexedQueue {
     std::uint64_t seq;
   };
 
-  /// Coarse ring geometry relative to the fine ring: 2^7 = 128x the bucket
-  /// span over a quarter the buckets, so the horizon grows 32x while the
-  /// ring's cache footprint shrinks to a quarter. Chosen so the default
-  /// coarse horizon (~131 ns) covers the simulator's mid-range delay band —
-  /// wire times, DMA steps, retry backoff — measured to be where a single
-  /// fine-grained ring hands the far heap its worst cancel-heavy churn,
-  /// while the small footprint keeps sparse serial streams (one live TLP
-  /// per link) from evicting the simulation's own working set.
-  static constexpr unsigned kCoarseGranShift = 7;
-  static constexpr unsigned kCoarseBucketsShift = 2;
+  /// Fine ring geometry (log2 of the bucket span in ps, log2 of the bucket
+  /// count): 1 ps x 4096 buckets ~ 4 ns of horizon. Deliberately fine: the
+  /// simulator's densest event class — sub-200-ps poll iterations, timer
+  /// pacing, engine steps — lands at ~1 entry per fine bucket, so push is a
+  /// plain append and pop never sifts; a coarser fine grain piles that class
+  /// into a few buckets whose mini-heaps cost as much as one global heap.
+  static constexpr unsigned kFineGranLog2 = 0;
+  static constexpr unsigned kFineBucketsLog2 = 12;
+  /// Coarse ring geometry: 128 ps x 1024 buckets ~ 131 ns, 32x the fine
+  /// horizon in a quarter of its cache footprint. It covers the mid-range
+  /// delay band — wire times, DMA steps, retry backoff — measured to be
+  /// where a single fine-grained ring hands the far heap its worst
+  /// cancel-heavy churn, still far under one entry per bucket, while the
+  /// small footprint keeps sparse serial streams (one live TLP per link)
+  /// from evicting the simulation's own working set. Everything past both
+  /// horizons (timeouts, watchdogs) takes the far heap, where cancel stays
+  /// O(1).
+  static constexpr unsigned kCoarseGranLog2 = 7;
+  static constexpr unsigned kCoarseBucketsLog2 = 10;
+  // The two-level occupancy bitmap assumes whole 64-bucket words.
+  static_assert(kFineBucketsLog2 >= 6 && kCoarseBucketsLog2 >= 6);
 
-  /// `gran_log2`: log2 of the fine calendar bucket's span in ps.
-  /// `buckets_log2`: log2 of the fine ring's size. Fine horizon =
-  /// 2^(gran+buckets) ps; the coarse ring spans 32x that. The defaults
-  /// (1 ps x 4096 buckets ~ 4 ns, backed by 128 ps x 1024 ~ 131 ns) are
-  /// deliberately fine: the simulator's densest event class —
-  /// sub-200-ps poll iterations, timer pacing, engine steps — lands at ~1
-  /// entry per fine bucket, so push is a plain append and pop never sifts;
-  /// a coarser fine grain piles that class into a few buckets whose
-  /// mini-heaps cost as much as one global heap. The mid-range band rides
-  /// the coarse ring, still far under one entry per bucket. Everything
-  /// past both horizons (timeouts, watchdogs) takes the far heap, where
-  /// cancel stays O(1). Per-shard queues use a coarser, smaller ring (see
-  /// ShardedEngine).
-  explicit IndexedQueue(unsigned gran_log2 = 0, unsigned buckets_log2 = 12)
-      : fine_(gran_log2, buckets_log2),
-        coarse_(gran_log2 + kCoarseGranShift,
-                buckets_log2 > 6 + kCoarseBucketsShift
-                    ? buckets_log2 - kCoarseBucketsShift
-                    : 6) {}
+  IndexedQueue()
+      : fine_(kFineGranLog2, kFineBucketsLog2),
+        coarse_(kCoarseGranLog2, kCoarseBucketsLog2) {}
 
   IndexedQueue(const IndexedQueue&) = delete;
   IndexedQueue& operator=(const IndexedQueue&) = delete;
@@ -183,14 +175,6 @@ class IndexedQueue {
   Ref schedule(TimePs t, TimePs now, std::uint64_t seq, F&& fn) {
     const std::uint32_t index = take_slot();
     slots_[index].fn.emplace(std::forward<F>(fn));
-    return file_entry(t, now, seq, index);
-  }
-
-  /// Same, for an already-type-erased callable (the sharded engine's
-  /// cross-shard mailbox path).
-  Ref schedule_fn(TimePs t, TimePs now, std::uint64_t seq, EventFn&& fn) {
-    const std::uint32_t index = take_slot();
-    slots_[index].fn = std::move(fn);
     return file_entry(t, now, seq, index);
   }
 
@@ -299,10 +283,7 @@ class IndexedQueue {
           bmask(nbuckets - 1),
           buckets(nbuckets),
           bitmap(nbuckets / 64, 0),
-          summary((nbuckets / 64 + 63) / 64, 0) {
-      // The two-level bitmap assumes whole 64-bucket words.
-      TCA_ASSERT(buckets_log2 >= 6);
-    }
+          summary((nbuckets / 64 + 63) / 64, 0) {}
 
     [[nodiscard]] std::uint64_t bucket_abs(TimePs t) const {
       return static_cast<std::uint64_t>(t) >> gran_log2;

@@ -11,8 +11,7 @@
 // sim::EventFn (see indexed_queue.h for the full design). Event fires run
 // under the scheduler's FrameArena, so coroutine frames spawned inside
 // events recycle through pooled memory instead of the global heap (see
-// arena.h). The conservative parallel engine for shard-confined workloads
-// is a separate class, sim::ShardedEngine (sharded.h).
+// arena.h).
 #pragma once
 
 #include <cstdint>

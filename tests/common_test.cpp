@@ -1,10 +1,12 @@
-// Unit tests for src/common: units, errors, RNG, stats, table printing.
+// Unit tests for src/common: units, errors, parsing, RNG, stats, table
+// printing.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 
 #include "common/error.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -193,6 +195,28 @@ TEST(TablePrinter, AlignsAndCounts) {
   EXPECT_EQ(t.row_count(), 2u);
   EXPECT_EQ(TablePrinter::cell(3.297, 2), "3.30");
   EXPECT_EQ(TablePrinter::cell(std::uint64_t{255}), "255");
+}
+
+TEST(ParseUnsigned, AcceptsWholeDecimalsThatFit) {
+  std::uint32_t v = 7;
+  EXPECT_TRUE(parse_unsigned("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(parse_unsigned("4294967295", &v));
+  EXPECT_EQ(v, 4294967295u);
+  std::uint64_t w = 0;
+  EXPECT_TRUE(parse_unsigned("18446744073709551615", &w));
+  EXPECT_EQ(w, ~std::uint64_t{0});
+}
+
+TEST(ParseUnsigned, RejectsWhatStoulWouldWrapOrThrowOn) {
+  std::uint32_t v = 7;
+  for (const char* bad : {"", "abc", "-1", "+1", " 1", "1 ", "1x", "0x10",
+                          "4294967296", "-4294967295", "1,2"}) {
+    EXPECT_FALSE(parse_unsigned(bad, &v)) << '"' << bad << '"';
+  }
+  EXPECT_EQ(v, 7u);  // untouched on failure
+  std::uint8_t narrow = 0;
+  EXPECT_FALSE(parse_unsigned("256", &narrow));
 }
 
 }  // namespace

@@ -91,6 +91,12 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_FALSE(FaultPlan::parse("stuck:node=0,ch=1,at=0").is_ok());  // no window
   EXPECT_FALSE(FaultPlan::parse("flap:cable=0,at=-5us,for=1us").is_ok());
   EXPECT_FALSE(FaultPlan::parse("flap:cable=0,at=5lightyears,for=1us").is_ok());
+  // Numbers are whole-string unsigned 32-bit: no empty, wrapped or signed
+  // values sneaking through as a valid cable or channel.
+  EXPECT_FALSE(FaultPlan::parse("cut:cable=").is_ok());
+  EXPECT_FALSE(FaultPlan::parse("cut:cable=4294967296").is_ok());
+  EXPECT_FALSE(FaultPlan::parse("cut:cable=-4294967295").is_ok());
+  EXPECT_FALSE(FaultPlan::parse("stuck:node=0,ch=-1,at=0,for=1us").is_ok());
 }
 
 // --- Link-down accounting (dropped-in-flight TLPs) --------------------------

@@ -7,14 +7,9 @@
 // equivalence with the frozen seed priority_queue (bench/seed_scheduler.h).
 // Also pins the allocation-free guarantee of sim::EventFn for the capture
 // shapes the simulator's hot paths use.
-//
-// Sharded engine coverage: epoch mode must reproduce the single-queue
-// Scheduler's per-shard event orders for every worker count. This file is
-// also the target of the ThreadSanitizer stage in scripts/check.sh.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -24,7 +19,6 @@
 #include "pcie/tlp.h"
 #include "sim/event_fn.h"
 #include "sim/scheduler.h"
-#include "sim/sharded.h"
 
 namespace tca::sim {
 namespace {
@@ -153,131 +147,6 @@ TEST(SchedulerStress, IndexedMatchesBaselineImpl) {
   EXPECT_EQ(idx.fired, base.fired);
   EXPECT_EQ(idx.final_now, base.final_now);
   EXPECT_EQ(idx.fire_hash, base.fire_hash);
-}
-
-// --- Sharded engine ----------------------------------------------------------
-
-constexpr TimePs kLookaheadPs = 25'000;
-
-ShardedEngine::Config epoch_config(std::uint32_t shards, unsigned threads) {
-  ShardedEngine::Config cfg;
-  cfg.shards = shards;
-  cfg.lookahead_ps = kLookaheadPs;
-  cfg.threads = threads;
-  return cfg;
-}
-
-TEST(SchedulerStress, ShardedCancelAfterFireReturnsFalse) {
-  // Sharded ids pack (generation, shard, slot); slot reuse inside a shard
-  // must not resurrect fired ids.
-  ShardedEngine engine(epoch_config(5, 1));
-  std::vector<std::uint64_t> ids;
-  for (int i = 0; i < 1000; ++i) {
-    ids.push_back(
-        engine.schedule(static_cast<std::uint32_t>(i % 5), ns(i), [] {}));
-  }
-  engine.run();
-  EXPECT_EQ(engine.now(), ns(999));  // run() commits the last fire time
-  for (auto id : ids) EXPECT_FALSE(engine.cancel(id));
-  std::vector<std::uint64_t> fresh;
-  for (int i = 0; i < 1000; ++i) {
-    fresh.push_back(engine.schedule(static_cast<std::uint32_t>(i % 5),
-                                    engine.now() + ns(1), [] {}));
-  }
-  for (auto id : ids) EXPECT_FALSE(engine.cancel(id));
-  for (auto id : fresh) EXPECT_TRUE(engine.cancel(id));
-  engine.run();
-  EXPECT_TRUE(engine.empty());
-}
-
-/// Files `fn` at absolute time `t` on `shard`. The single-queue Scheduler
-/// has no shards and ignores the tag.
-template <typename Engine, typename F>
-void post(Engine& e, std::uint32_t shard, TimePs t, F&& fn) {
-  if constexpr (std::is_same_v<Engine, ShardedEngine>) {
-    e.schedule(shard, t, std::forward<F>(fn));
-  } else {
-    e.schedule_at(t, std::forward<F>(fn));
-  }
-}
-
-/// Shard-confined ring workload: per-shard self-rescheduling timers (times
-/// stay off the multiple-of-5 lattice) and a message chain that crosses to
-/// the next shard with the conservative lookahead (arrivals land exactly on
-/// the lattice) — so the per-shard event order is tie-free and must be
-/// identical whichever engine or worker count executes it.
-template <typename Engine>
-struct EpochRig {
-  Engine* sched = nullptr;
-  std::uint32_t shards = 0;
-  std::vector<std::uint64_t> shard_hash;
-  std::vector<std::uint64_t> timer_left;
-
-  void touch(std::uint32_t shard, std::uint64_t key) {
-    shard_hash[shard] = hash_combine(
-        shard_hash[shard],
-        key ^ static_cast<std::uint64_t>(sched->now()));
-  }
-};
-
-template <typename Engine>
-void epoch_timer(EpochRig<Engine>* rig, std::uint32_t shard, std::size_t slot,
-                 TimePs period) {
-  rig->touch(shard, rig->timer_left[slot]);
-  if (--rig->timer_left[slot] == 0) return;
-  post(*rig->sched, shard, rig->sched->now() + period,
-       [rig, shard, slot, period] { epoch_timer(rig, shard, slot, period); });
-}
-
-template <typename Engine>
-void epoch_hop(EpochRig<Engine>* rig, std::uint32_t shard,
-               std::uint32_t hops_left) {
-  rig->touch(shard, 0xB0B + hops_left);
-  if (hops_left == 0) return;
-  const std::uint32_t next = (shard + 1) % rig->shards;
-  const TimePs arrive = (rig->sched->now() + kLookaheadPs + 4) / 5 * 5;
-  post(*rig->sched, next, arrive,
-       [rig, next, hops_left] { epoch_hop(rig, next, hops_left - 1); });
-}
-
-template <typename Engine>
-std::vector<std::uint64_t> run_rig(Engine& sched) {
-  constexpr std::uint32_t kShards = 8;
-  EpochRig<Engine> rig;
-  rig.sched = &sched;
-  rig.shards = kShards;
-  rig.shard_hash.assign(kShards, 0xcbf29ce484222325ull);
-  rig.timer_left.assign(kShards * 2, 3000);
-  for (std::uint32_t s = 0; s < kShards; ++s) {
-    for (std::size_t k = 0; k < 2; ++k) {
-      // Times ≡ 1..4 (mod 5): never tie with a lattice-aligned arrival.
-      post(sched, s, 1 + (s + k) % 4,
-           [&rig, s, slot = s * 2 + k,
-            period = static_cast<TimePs>(5 * (20 + s + k))] {
-             epoch_timer(&rig, s, slot, period);
-           });
-    }
-  }
-  post(sched, 0, kLookaheadPs, [&rig] { epoch_hop(&rig, 0, 300); });
-  sched.run();
-  EXPECT_TRUE(sched.empty());
-  return rig.shard_hash;
-}
-
-std::vector<std::uint64_t> run_epoch_rig(unsigned threads) {
-  ShardedEngine engine(epoch_config(8, threads));
-  return run_rig(engine);
-}
-
-TEST(SchedulerStress, EpochModeThreadCountInvariant) {
-  Scheduler single;
-  const auto serial = run_rig(single);  // single queue: global order
-  const auto t1 = run_epoch_rig(1);     // epochs, one worker
-  const auto t2 = run_epoch_rig(2);     // epochs, two workers
-  const auto t4 = run_epoch_rig(4);     // more workers than needed
-  EXPECT_EQ(t1, serial);
-  EXPECT_EQ(t2, serial);
-  EXPECT_EQ(t4, t1);
 }
 
 TEST(SchedulerStress, CancelAfterFireReturnsFalse) {

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "chaos/chaos.h"
+#include "common/parse.h"
 
 using namespace tca;
 
@@ -68,10 +69,14 @@ Options parse_args(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // Numeric flags: a malformed, signed or too-wide value is a usage error.
+    auto next_number = [&]<typename T>(T* out) {
+      if (!parse_unsigned(next(), out)) usage(argv[0]);
+    };
     if (a == "--seed") {
-      opt.seed = std::stoull(next());
+      next_number(&opt.seed);
     } else if (a == "--campaigns") {
-      opt.campaigns = static_cast<std::uint32_t>(std::stoul(next()));
+      next_number(&opt.campaigns);
     } else if (a == "--topology") {
       opt.topologies = split_commas(next());
       if (opt.topologies.empty()) usage(argv[0]);

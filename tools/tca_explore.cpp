@@ -31,11 +31,13 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/tca.h"
 #include "bench/bench_util.h"
 #include "coll/communicator.h"
+#include "common/parse.h"
 #include "common/trace.h"
 #include "fabric/fault_plan.h"
 #include "obs/metrics.h"
@@ -82,18 +84,17 @@ struct Options {
   std::exit(2);
 }
 
-std::vector<std::uint32_t> parse_sizes(const std::string& arg) {
-  std::vector<std::uint32_t> out;
-  std::size_t pos = 0;
-  while (pos < arg.size()) {
-    const std::size_t comma = arg.find(',', pos);
-    const std::string tok = arg.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    out.push_back(static_cast<std::uint32_t>(std::stoul(tok)));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+/// "a,b,c" -> sizes. False on an empty or malformed entry.
+bool parse_sizes(std::string_view arg, std::vector<std::uint32_t>* out) {
+  out->clear();
+  for (;;) {
+    const std::size_t comma = arg.find(',');
+    std::uint32_t size = 0;
+    if (!parse_unsigned(arg.substr(0, comma), &size)) return false;
+    out->push_back(size);
+    if (comma == std::string_view::npos) return true;
+    arg.remove_prefix(comma + 1);
   }
-  return out;
 }
 
 Options parse(int argc, char** argv) {
@@ -104,8 +105,12 @@ Options parse(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // Numeric flags: a malformed, signed or too-wide value is a usage error.
+    auto next_number = [&]<typename T>(T* out) {
+      if (!parse_unsigned(next(), out)) usage(argv[0]);
+    };
     if (a == "--nodes") {
-      opt.nodes = static_cast<std::uint32_t>(std::stoul(next()));
+      next_number(&opt.nodes);
       opt.nodes_set = true;
     } else if (a == "--topology") {
       auto spec = fabric::TopologySpec::parse(next());
@@ -120,11 +125,11 @@ Options parse(int argc, char** argv) {
     } else if (a == "--target") {
       opt.target = next();
     } else if (a == "--burst") {
-      opt.burst = static_cast<std::uint32_t>(std::stoul(next()));
+      next_number(&opt.burst);
     } else if (a == "--dest") {
-      opt.dest = static_cast<std::uint32_t>(std::stoul(next()));
+      next_number(&opt.dest);
     } else if (a == "--sizes") {
-      opt.sizes = parse_sizes(next());
+      if (!parse_sizes(next(), &opt.sizes)) usage(argv[0]);
     } else if (a == "--trace") {
       opt.trace_path = next();
     } else if (a == "--stats") {
@@ -141,13 +146,13 @@ Options parse(int argc, char** argv) {
     } else if (a == "--no-failover") {
       opt.failover = false;
     } else if (a == "--deadline") {
-      opt.deadline_us = static_cast<std::uint32_t>(std::stoul(next()));
+      next_number(&opt.deadline_us);
     } else if (a == "--attempts") {
-      opt.attempts = static_cast<std::uint32_t>(std::stoul(next()));
+      next_number(&opt.attempts);
     } else if (a == "--workload") {
       opt.workload = next();
     } else if (a == "--size") {
-      opt.size = std::stoull(next());
+      next_number(&opt.size);
     } else {
       usage(argv[0]);
     }
@@ -181,25 +186,28 @@ Options parse(int argc, char** argv) {
   return opt;
 }
 
+/// The fabric either mode builds. main() validates it before anything is
+/// built, so a bad topology or an out-of-range fault plan exits 2 with the
+/// same message in both modes instead of reaching the builders' asserts.
+api::TcaConfig fabric_config(const Options& opt) {
+  return {.spec = opt.spec,
+          .node_config = {.gpu_count = 2,
+                          .host_backing_bytes = 64ull << 20,
+                          .gpu_backing_bytes = opt.workload.empty()
+                                                   ? 8ull << 20
+                                                   : 64ull << 20},
+          .fault_plan = opt.fault_plan,
+          .enable_failover = opt.failover};
+}
+
 /// --workload mode: drive one tca::coll collective (GPU-resident) over the
 /// api::Runtime instead of raw driver chains, composing with --nodes,
 /// --topology, --fault-plan, --no-failover, --deadline, --attempts,
 /// --stats and --trace. A healthy run exits non-zero on verification
 /// failure; under a fault campaign the printed outcome IS the experiment,
 /// so the run exits zero either way.
-int run_workload(const Options& opt) {
+int run_workload(const Options& opt, const api::TcaConfig& config) {
   sim::Scheduler sched;
-  const api::TcaConfig config{
-      .spec = opt.spec,
-      .node_config = {.gpu_count = 2,
-                      .host_backing_bytes = 64ull << 20,
-                      .gpu_backing_bytes = 64ull << 20},
-      .fault_plan = opt.fault_plan,
-      .enable_failover = opt.failover};
-  if (Status st = api::Runtime::validate_config(config); !st.is_ok()) {
-    std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
-    return 2;
-  }
   api::Runtime rt(sched, config);
 
   coll::CollConfig cfg;
@@ -240,9 +248,14 @@ int run_workload(const Options& opt) {
     std::vector<std::vector<double>> in(opt.nodes);
     std::vector<api::Buffer> bufs(opt.nodes);
     for (std::uint32_t r = 0; r < opt.nodes; ++r) {
+      auto buf = rt.alloc_gpu(r, 0, payload);  // --size may exceed the GPU
+      if (!buf.is_ok()) {
+        std::fprintf(stderr, "error: %s\n", buf.status().to_string().c_str());
+        return 2;
+      }
+      bufs[r] = buf.value();
       in[r].resize(count);
       for (double& x : in[r]) x = rng.next_double() * 2.0 - 1.0;
-      bufs[r] = rt.alloc_gpu(r, 0, payload).value();
       rt.write(bufs[r], 0, std::as_bytes(std::span(in[r])));
     }
     const TimePs t0 = sched.now();
@@ -413,17 +426,20 @@ int main(int argc, char** argv) {
   // Stats requested: also record latency samples (histograms in the JSON).
   if (opt.stats || !opt.stats_path.empty()) obs::set_sampling_enabled(true);
 
-  if (!opt.workload.empty()) return run_workload(opt);
+  const api::TcaConfig config = fabric_config(opt);
+  if (Status st = api::Runtime::validate_config(config); !st.is_ok()) {
+    std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
+    return 2;
+  }
+  if (!opt.workload.empty()) return run_workload(opt, config);
 
   sim::Scheduler sched;
   fabric::SubCluster tca(
-      sched, fabric::SubClusterConfig{
-                 .spec = opt.spec,
-                 .node_config = {.gpu_count = 2,
-                                 .host_backing_bytes = 64ull << 20,
-                                 .gpu_backing_bytes = 8ull << 20},
-                 .fault_plan = opt.fault_plan,
-                 .enable_failover = opt.failover});
+      sched, fabric::SubClusterConfig{.spec = config.spec,
+                                      .node_config = config.node_config,
+                                      .fault_plan = config.fault_plan,
+                                      .enable_failover =
+                                          config.enable_failover});
   driver::Peach2Driver& drv = tca.driver(0);
 
   // Stage data and pin GPU windows.

@@ -24,11 +24,12 @@
 //                            is implementation-defined, so anything it
 //                            feeds (trace, metrics, free lists) diverges
 //                            across platforms.
-//    det-shard-shared-state  mutable static in a shard-execution path
-//                            (src/sim): epoch-mode workers run event bodies
-//                            concurrently, so a static that is not
-//                            const/std::atomic/thread_local both races and
-//                            makes replay depend on thread interleaving.
+//    det-shard-shared-state  mutable static in the event core (src/sim):
+//                            it outlives the Scheduler, so its state leaks
+//                            from one run into the next in the same
+//                            process — which is exactly what
+//                            `tca_chaos --replay-check` does — and the
+//                            second run stops being bit-identical.
 //
 //  register map (src/peach2/registers.h + MMIO call sites)
 //    reg-magic-mmio          write_register/read_register/dma_bank called
@@ -146,7 +147,7 @@ struct FileScope {
   bool allow_wall_clock = false;   // bench/ measures real time
   bool allow_raw_rand = false;     // common/rng wraps the generator
   bool check_magic_mmio = true;    // driver/, peach2/, tests/ + fixtures
-  bool check_shard_state = true;   // src/sim (shard-execution) + fixtures
+  bool check_shard_state = true;   // src/sim (event core) + fixtures
   bool check_protocol = true;      // src/ (annotated subsystems) + fixtures
 };
 

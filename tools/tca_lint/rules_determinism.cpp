@@ -69,10 +69,10 @@ void collect_unordered_names(const LexedFile& f, Context& ctx) {
 
 namespace {
 
-/// det-shard-shared-state: a mutable `static` in a shard-execution path.
-/// Shard workers run event bodies concurrently in epoch mode, so any static
-/// that is not const/constexpr, std::atomic, or thread_local is both a data
-/// race and a replay hazard (its value depends on thread interleaving).
+/// det-shard-shared-state: a mutable `static` in the event core (src/sim).
+/// A mutable static outlives the Scheduler, so its state leaks from one run
+/// into the next in the same process — `tca_chaos --replay-check` runs every
+/// campaign twice that way — and the replay stops being bit-identical.
 /// Token heuristic: scan the declaration from `static` to the first
 /// top-level `;`, `=`, `{` or `(`; a `(` first means a function declaration
 /// (never state), and any const/constexpr/atomic/thread_local/mutex token
@@ -116,10 +116,10 @@ void check_shard_statics(const std::string& path, const LexedFile& f,
     out.push_back(
         {path, toks[i].line, "det-shard-shared-state",
          "mutable static `" + name +
-             "` in a shard-execution path: epoch-mode workers execute "
-             "events concurrently, so unsynchronized statics race and make "
-             "replay depend on thread interleaving — use std::atomic, "
-             "thread_local, const, or per-shard state"});
+             "` in the event core: it outlives the Scheduler, so its state "
+             "leaks from one run into the next in the same process (as "
+             "--replay-check runs them) — use const, or state owned by the "
+             "Scheduler"});
     i = j;
   }
 }
