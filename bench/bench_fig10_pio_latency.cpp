@@ -54,7 +54,7 @@ struct LoopbackRig {
     pcie::LinkConfig cable{.gen = 2,
                            .lanes = 8,
                            .propagation_ps = calib::kCableLatencyPs,
-                           .tx_queue_bytes = 600};
+                           .tx_queue_bytes = calib::kPeach2LinkTxQueueBytes};
     cable_a = std::make_unique<pcie::PcieLink>(sched, cable);
     cable_b = std::make_unique<pcie::PcieLink>(sched, cable);
     chips[0]->attach_port(PortId::kEast, cable_a->end_a());

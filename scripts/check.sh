@@ -4,7 +4,7 @@
 # a clang-tidy baseline diff (skipped when clang-tidy is not installed),
 # full test suite (soak label excluded — run `ctest -L soak` for the long
 # fault campaigns), the repository benchmark self-test (perfbench/), a
-# sanitizer pass over the fault, collective and host-wait suites,
+# sanitizer pass over the fault, collective, host-wait and router suites,
 # a ~1 s bench_sim_core smoke run (scheduler speedup tripwire + allocation,
 # determinism and seed-equivalence checks), collective bench smoke runs, a
 # simulated-time identity check of the full collective sweeps against the
@@ -43,11 +43,12 @@ echo "== repository benchmark self-test =="
 # names, or traced/untraced digest equality fails here.
 python3 perfbench/selftest.py
 
-echo "== fault, driver and API suites under ASan/UBSan =="
+echo "== fault, driver, API and router suites under ASan/UBSan =="
 SAN_BUILD=build-check-asan
 cmake --preset asan > /dev/null
 cmake --build --preset asan -j --target fault_test fault_recovery_test coll_test \
-  node_test api_test driver_test channel_test
+  node_test api_test driver_test channel_test chip_test fabric_test \
+  topology_test
 ctest --preset asan -j "$(nproc)"
 
 echo "== bench_sim_core smoke =="

@@ -62,15 +62,7 @@ Result<Runtime> Runtime::create(sim::Scheduler& sched,
 Runtime::Runtime(sim::Scheduler& sched, const TcaConfig& config)
     : sched_(sched),
       cluster_((TCA_ASSERT(validate_config(config).is_ok()),
-                std::make_unique<fabric::SubCluster>(
-                    sched, fabric::SubClusterConfig{
-                               .spec = config.spec,
-                               .node_config = config.node_config,
-                               .cable_bit_error_rate =
-                                   config.cable_bit_error_rate,
-                               .fault_plan = config.fault_plan,
-                               .enable_failover = config.enable_failover,
-                           }))),
+                std::make_unique<fabric::SubCluster>(sched, config))),
       host_alloc_cursor_(cluster_->size(), 0) {}
 
 Result<Buffer> Runtime::alloc_host(std::uint32_t node, std::uint64_t bytes) {

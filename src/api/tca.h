@@ -27,21 +27,9 @@
 
 namespace tca::api {
 
-struct TcaConfig {
-  /// Topology — ring, dual ring, or a 1D/2D/3D torus (see
-  /// fabric::TopologySpec). An empty spec is rejected by validate_config().
-  fabric::TopologySpec spec = fabric::TopologySpec::ring(2);
-  node::NodeConfig node_config = {
-      .gpu_count = 2,
-      .host_backing_bytes = 64ull << 20,
-      .gpu_backing_bytes = 16ull << 20,
-  };
-  /// Fault campaign applied at construction (see fabric::FaultPlan) and the
-  /// ring-failover switch, forwarded to the sub-cluster builder.
-  fabric::FaultPlan fault_plan;
-  bool enable_failover = true;
-  double cable_bit_error_rate = 0;
-};
+/// The fabric configuration: topology, per-node hardware, fault campaign,
+/// failover switch and cable bit error rate (see fabric::SubClusterConfig).
+using TcaConfig = fabric::SubClusterConfig;
 
 /// A registered communication buffer: host memory or pinned GPU memory on a
 /// specific node. Copyable value; the Runtime owns the storage.

@@ -22,23 +22,18 @@
 
 namespace tca::baseline {
 
-struct IbConfig {
-  int rails = 2;  ///< Table I: "Mellanox Connect-X3 Dual-port QDR"
-  double bytes_per_sec_per_rail = calib::kIbBytesPerSecPerRail;
-  TimePs verbs_latency_ps = calib::kIbRawLatencyPs;
-};
-
-/// Verbs-level RDMA fabric between the nodes of a cluster. One NIC per
-/// node; each rail serializes sends independently (messages are striped
-/// across rails at 4 KiB granularity when both are idle — we model the
-/// aggregate rate for multi-rail sends, which is what MPI achieves with
-/// rail binding).
+/// Verbs-level RDMA fabric between the nodes of a cluster. One dual-rail
+/// NIC per node at calib rates (messages are striped across rails at 4 KiB
+/// granularity when both are idle — we model the aggregate rate, which is
+/// what MPI achieves with rail binding) and calib::kIbRawLatencyPs verbs
+/// latency.
 class IbFabric {
  public:
-  IbFabric(sim::Scheduler& sched, std::vector<node::ComputeNode*> nodes,
-           IbConfig config = {});
+  /// Table I: "Mellanox Connect-X3 Dual-port QDR".
+  static constexpr int kRails = 2;
 
-  [[nodiscard]] const IbConfig& config() const { return cfg_; }
+  IbFabric(sim::Scheduler& sched, std::vector<node::ComputeNode*> nodes);
+
   [[nodiscard]] std::uint32_t size() const {
     return static_cast<std::uint32_t>(nodes_.size());
   }
@@ -51,10 +46,9 @@ class IbFabric {
   /// memory — staging costs are the caller's, i.e. MPI's) and writes it
   /// into dst node's host memory at `dst_offset`. Completes at the sender
   /// when the NIC finishes the send; delivery lands after wire latency.
-  /// `use_rails` limits striping (1 = single rail).
   sim::Task<> rdma_write(std::uint32_t src_node, std::uint32_t dst_node,
                          std::span<const std::byte> data,
-                         std::uint64_t dst_offset, int use_rails = 0);
+                         std::uint64_t dst_offset);
 
   /// Completion signal: fires `delivered` (if non-null) when the bytes are
   /// visible at the destination (used by MpiLite to complete receives).
@@ -64,7 +58,7 @@ class IbFabric {
                                 std::uint32_t dst_node,
                                 std::span<const std::byte> data,
                                 std::uint64_t dst_offset,
-                                sim::Trigger* delivered, int use_rails = 0);
+                                sim::Trigger* delivered);
 
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
   [[nodiscard]] std::uint64_t messages_sent() const { return messages_; }
@@ -79,7 +73,6 @@ class IbFabric {
   };
 
   sim::Scheduler& sched_;
-  IbConfig cfg_;
   std::vector<node::ComputeNode*> nodes_;
   std::vector<Nic> nics_;
   std::uint64_t bytes_sent_ = 0;

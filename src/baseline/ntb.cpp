@@ -3,8 +3,8 @@
 namespace tca::baseline {
 
 NtbBridge::NtbBridge(sim::Scheduler& sched, node::ComputeNode& node_a,
-                     node::ComputeNode& node_b, NtbConfig config)
-    : sched_(sched), cfg_(config), nodes_{&node_a, &node_b} {
+                     node::ComputeNode& node_b)
+    : sched_(sched), nodes_{&node_a, &node_b} {
   for (int side = 0; side < 2; ++side) {
     endpoints_[static_cast<std::size_t>(side)] =
         std::make_unique<Endpoint>(*this, side);
@@ -18,7 +18,7 @@ NtbBridge::NtbBridge(sim::Scheduler& sched, node::ComputeNode& node_a,
     const Status st =
         nodes_[static_cast<std::size_t>(side)]->socket(0).attach_device(
             static_cast<pcie::DeviceId>(200 + side), link.end_a(),
-            {{cfg_.aperture_base, cfg_.aperture_bytes}});
+            {{kApertureBase, kApertureBytes}});
     TCA_ASSERT(st.is_ok());
     link.end_b().set_sink(endpoints_[static_cast<std::size_t>(side)].get());
   }
@@ -44,15 +44,14 @@ void NtbBridge::forward(int from_side, pcie::Tlp tlp) {
     ++dropped_;
     return;
   }
-  // Address translation: aperture offset -> peer host window.
-  const std::uint64_t offset = tlp.address - cfg_.aperture_base;
+  // Address translation: aperture offset -> peer host memory.
   const std::uint64_t peer_addr =
-      node::layout::kHostBase + cfg_.peer_window_offset + offset;
+      node::layout::kHostBase + (tlp.address - kApertureBase);
   const int to_side = 1 - from_side;
   ++forwarded_;
 
   sched_.schedule_after(
-      cfg_.translation_ps,
+      kTranslationPs,
       [this, to_side, peer_addr, payload = std::move(tlp.payload)]() mutable {
         pcie::Tlp out = pcie::Tlp::mem_write(peer_addr, payload);
         // Inject into the peer's root complex as if from the NTB EP.

@@ -26,22 +26,17 @@
 
 namespace tca::baseline {
 
-struct NtbConfig {
-  /// Aperture BAR each side exposes (same local bus address on both nodes).
-  std::uint64_t aperture_base = 0x38'0000'0000ull;
-  std::uint64_t aperture_bytes = 16ull << 20;
-  /// Peer host-memory offset the aperture translates to.
-  std::uint64_t peer_window_offset = 0;
-  /// Translation + switch traversal latency per TLP.
-  TimePs translation_ps = units::ns(150);
-};
-
 class NtbBridge {
  public:
-  NtbBridge(sim::Scheduler& sched, node::ComputeNode& node_a,
-            node::ComputeNode& node_b, NtbConfig config = {});
+  /// Aperture BAR each side exposes (same local bus address on both
+  /// nodes). It translates onto the peer's host memory from offset 0.
+  static constexpr std::uint64_t kApertureBase = 0x38'0000'0000ull;
+  static constexpr std::uint64_t kApertureBytes = 16ull << 20;
+  /// Translation + switch traversal latency per TLP.
+  static constexpr TimePs kTranslationPs = units::ns(150);
 
-  [[nodiscard]] const NtbConfig& config() const { return cfg_; }
+  NtbBridge(sim::Scheduler& sched, node::ComputeNode& node_a,
+            node::ComputeNode& node_b);
 
   /// Inter-node cable state. Taking it down does NOT stall traffic like a
   /// PEACH2 cable: the next aperture access wedges the issuing node.
@@ -73,7 +68,6 @@ class NtbBridge {
   void forward(int from_side, pcie::Tlp tlp);
 
   sim::Scheduler& sched_;
-  NtbConfig cfg_;
   std::array<node::ComputeNode*, 2> nodes_;
   std::array<std::unique_ptr<pcie::PcieLink>, 2> links_;
   std::array<std::unique_ptr<Endpoint>, 2> endpoints_;

@@ -152,9 +152,16 @@ inline constexpr std::uint32_t kGpuRemoteAckWindow = 32;
 /// a Stratix IV GX530 carries ~20 Mbit of block RAM).
 inline constexpr std::uint64_t kInternalRamBytes = 2ull << 20;  // 2 MiB
 
-/// DDR3 SODIMM on the PEACH2 board (packet buffer + NIOS main memory).
-/// Modeled backing store; the physical SODIMM is far larger.
-inline constexpr std::uint64_t kBoardDramBytes = 8ull << 20;  // 8 MiB
+/// Per-output-port egress FIFO of the PEACH2 router (built into the FPGA
+/// image). Deliberately small: the DMA engine's descriptor pacing emerges
+/// from egress backpressure tracking the link drain rate.
+inline constexpr std::uint64_t kEgressFifoBytes = 1024;
+
+/// Transmit queue of every PCIe link that touches a PEACH2 board (the host
+/// slot link and the external cables). Shallow for the same reason as
+/// kEgressFifoBytes: backpressure must reach the DMA engine promptly, so
+/// the link must not buffer a whole descriptor's worth of TLPs.
+inline constexpr std::uint64_t kPeach2LinkTxQueueBytes = 600;
 
 /// Descriptor table capacity: the paper chains up to 255 requests.
 inline constexpr std::uint32_t kMaxDescriptors = 255;
@@ -179,6 +186,10 @@ inline constexpr TimePs kCpuMmioStorePs = ns(150);
 /// Root-complex + DRAM commit latency for an inbound posted write until the
 /// data is visible to a polling core.
 inline constexpr TimePs kHostWriteCommitPs = ns(160);
+
+/// GDDR commit latency for a posted write into GPU memory through BAR1
+/// (the K20's deep request queue absorbs the TLP first).
+inline constexpr TimePs kGpuWriteCommitPs = ns(40);
 
 /// Host memory read latency seen by a device MRd (root complex + DRAM).
 inline constexpr TimePs kHostReadLatencyPs = ns(350);

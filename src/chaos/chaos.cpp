@@ -23,6 +23,20 @@ using units::ms;
 using units::ns;
 using units::us;
 
+namespace {
+
+// The recovery policy every campaign's workloads run under, and its
+// no-wedge horizon. Constants, not CampaignSpec fields: a .campaign file
+// pins behavior through seed/topology/workload/plan alone, so a spec that
+// varied these would replay as a different campaign.
+constexpr TimePs kDeadlinePs = us(300);
+constexpr std::uint32_t kMaxAttempts = 3;
+constexpr TimePs kFlagTimeoutPs = ms(2);
+/// Every workload task must resolve by then.
+constexpr TimePs kHorizonPs = ms(100);
+
+}  // namespace
+
 const char* to_string(Workload w) {
   switch (w) {
     case Workload::kAllreduce: return "allreduce";
@@ -330,15 +344,15 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
     } else {
       api::Runtime rt = std::move(rt_result).value();
       const std::uint32_t n = rt.node_count();
-      const api::SyncOptions sync{.deadline_ps = spec.deadline_ps,
-                                  .max_attempts = spec.max_attempts};
+      const api::SyncOptions sync{.deadline_ps = kDeadlinePs,
+                                  .max_attempts = kMaxAttempts};
 
       // Heartbeats: probes spread across the horizon that record the clock;
       // the monotonic-time invariant checks them after the run.
       std::vector<TimePs> heartbeats;
       heartbeats.reserve(16);
       for (int i = 1; i <= 16; ++i) {
-        sched.schedule_at(spec.horizon_ps * i / 16, [&sched, &heartbeats] {
+        sched.schedule_at(kHorizonPs * i / 16, [&sched, &heartbeats] {
           heartbeats.push_back(sched.now());
         });
       }
@@ -355,7 +369,7 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
         ccfg.pipeline_seg_bytes = 4096;
         ccfg.staging_slots = 2;
         ccfg.sync = sync;
-        ccfg.flag_timeout_ps = spec.flag_timeout_ps;
+        ccfg.flag_timeout_ps = kFlagTimeoutPs;
         auto comm_result = coll::Communicator::create(rt, ccfg);
         if (!comm_result.is_ok()) {
           violate("communicator construction failed: " +
@@ -500,7 +514,7 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
       }
 
       // --- Run -----------------------------------------------------------
-      sched.run_for(spec.horizon_ps);
+      sched.run_for(kHorizonPs);
 
       bool wedged = false;
       for (std::size_t i = 0; i < slots.size(); ++i) {
@@ -508,7 +522,7 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
           wedged = true;
           violate("no-wedge: workload task " + std::to_string(i) +
                   " still pending at the " +
-                  units::format_time(spec.horizon_ps) + " horizon");
+                  units::format_time(kHorizonPs) + " horizon");
         }
       }
       // Drain fault-plan tails (window closes, retrains) so end-state

@@ -20,12 +20,12 @@ namespace {
 pcie::LinkConfig cable_config(std::uint32_t from, std::uint32_t to,
                               double bit_error_rate) {
   // PCIe external cable between boards: Gen2 x8 with repeater/propagation
-  // latency (Section III-G). Shallow egress queue — see the PEACH2 slot
-  // link: backpressure must reach the DMA engine promptly.
+  // latency (Section III-G), with the same shallow egress queue as the
+  // PEACH2 slot link.
   return {.gen = 2,
           .lanes = 8,
           .propagation_ps = calib::kCableLatencyPs,
-          .tx_queue_bytes = 600,
+          .tx_queue_bytes = calib::kPeach2LinkTxQueueBytes,
           .name = "cable/" + std::to_string(from) + "-" +
                   std::to_string(to),
           .bit_error_rate = bit_error_rate,
@@ -39,8 +39,8 @@ SubCluster::SubCluster(sim::Scheduler& sched, const SubClusterConfig& config)
   const Status topo_ok = topo_.validate();
   TCA_ASSERT(topo_ok.is_ok());
   const std::uint32_t n = topo_.node_count();
-  auto layout_result = TcaLayout::create(config.window_base,
-                                         config.window_bytes, n);
+  auto layout_result =
+      TcaLayout::create(calib::kTcaWindowBase, calib::kTcaWindowBytes, n);
   TCA_ASSERT(layout_result.is_ok());
   layout_ = layout_result.value();
 

@@ -28,15 +28,17 @@
 
 namespace tca::fabric {
 
+/// The one fabric configuration, re-exported as api::TcaConfig. The TCA
+/// window is fixed (calib::kTcaWindowBase / kTcaWindowBytes, Fig. 4).
 struct SubClusterConfig {
-  /// Topology (see fabric::TopologySpec); must pass validate().
+  /// Topology — ring, dual ring, or a 1D/2D/3D torus (see TopologySpec);
+  /// must pass validate(). An empty spec is rejected.
   TopologySpec spec = TopologySpec::ring(2);
-  node::NodeConfig node_config;
-  std::uint64_t window_base = calib::kTcaWindowBase;
-  std::uint64_t window_bytes = calib::kTcaWindowBytes;
-  /// Fault injection: bit error rate on the inter-node cables (LCRC
-  /// failures trigger data-link-layer replays; data is never lost).
-  double cable_bit_error_rate = 0;
+  node::NodeConfig node_config = {
+      .gpu_count = 2,
+      .host_backing_bytes = 64ull << 20,
+      .gpu_backing_bytes = 16ull << 20,
+  };
   /// Deterministic fault schedule applied at construction (cable flaps, BER
   /// bursts, stuck doorbells). Event times are relative to construction.
   FaultPlan fault_plan;
@@ -49,6 +51,9 @@ struct SubClusterConfig {
   /// dimension) routes are left alone and traffic is held in the replay
   /// buffers, exactly as with failover disabled.
   bool enable_failover = true;
+  /// Fault injection: bit error rate on the inter-node cables (LCRC
+  /// failures trigger data-link-layer replays; data is never lost).
+  double cable_bit_error_rate = 0;
 };
 
 class SubCluster {

@@ -126,7 +126,7 @@ void GpuDevice::on_tlp(pcie::Tlp tlp, pcie::LinkPort& port) {
         const DevPtr offset = *dev;
         auto data = std::move(tlp.payload);
         sched_.schedule_after(
-            cfg_.write_commit_ps,
+            calib::kGpuWriteCommitPs,
             // tca-protocol: commit-point, owns(commit-ack)
             [this, offset, d = std::move(data),
              notifier = tlp.commit_notifier, ack = tlp.ack_address,

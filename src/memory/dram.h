@@ -7,14 +7,13 @@
 // Storage is one private anonymous mapping, zero-filled by the kernel on
 // first touch: reads of untouched pages share the kernel's zero page, so
 // resident memory tracks the pages a run actually writes, not the modeled
-// capacity. The range stays contiguous, so view()/view_mut() hand out plain
+// capacity. The range stays contiguous, so view() hands out plain
 // spans. AddressSanitizer puts no redzones around mmap'd memory; the range
 // checks below are the only guard.
 //
 // One optional WriteObserver sees every write() after its bytes land; the
 // node's CpuAgent uses it to wake host-memory waits event-driven instead of
-// simulating the spin loop. view_mut() hands out raw storage and bypasses
-// the observer, so no simulated component writes through it.
+// simulating the spin loop, so write() is the only way to mutate storage.
 #pragma once
 
 #include <sys/mman.h>
@@ -60,13 +59,6 @@ class Dram {
 
   [[nodiscard]] std::span<const std::byte> view(std::uint64_t offset,
                                                 std::uint64_t len) const {
-    TCA_ASSERT(in_range(offset, len));
-    return {data_.get() + offset, len};
-  }
-
-  /// Raw mutable access; bypasses the write observer.
-  [[nodiscard]] std::span<std::byte> view_mut(std::uint64_t offset,
-                                              std::uint64_t len) {
     TCA_ASSERT(in_range(offset, len));
     return {data_.get() + offset, len};
   }

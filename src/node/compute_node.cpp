@@ -85,13 +85,12 @@ Result<pcie::LinkPort*> ComputeNode::try_attach_peach2_slot(
     }
   }
   // Shallow egress queue: the PEACH2 DMA engine's descriptor pacing derives
-  // from real link backpressure, so the slot link must not buffer a whole
-  // descriptor's worth of TLPs.
+  // from real link backpressure (calib::kPeach2LinkTxQueueBytes).
   auto& link = peach2_links_.emplace_back(std::make_unique<pcie::PcieLink>(
       sched_,
       pcie::LinkConfig{.gen = 2,
                        .lanes = 8,
-                       .tx_queue_bytes = 600,
+                       .tx_queue_bytes = calib::kPeach2LinkTxQueueBytes,
                        .name = "slot" + std::to_string(peach2_links_.size()) +
                                "/node" + std::to_string(index_)}));
   std::vector<std::pair<std::uint64_t, std::uint64_t>> bars = {

@@ -1,9 +1,7 @@
 #include "obs/metrics.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 
 #include "common/trace.h"
 
@@ -53,100 +51,6 @@ void append_quoted(std::string& out, std::string_view s) {
   out += '"';
 }
 
-// --- Minimal recursive-descent reader for the documents this module emits --
-
-struct JsonReader {
-  std::string_view text;
-  std::size_t pos = 0;
-  bool failed = false;
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    failed = true;
-    return false;
-  }
-
-  [[nodiscard]] bool peek(char c) {
-    skip_ws();
-    return pos < text.size() && text[pos] == c;
-  }
-
-  std::string parse_string() {
-    std::string out;
-    if (!consume('"')) return out;
-    while (pos < text.size() && text[pos] != '"') {
-      char c = text[pos++];
-      if (c == '\\' && pos < text.size()) {
-        char e = text[pos++];
-        switch (e) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          default: out += e;
-        }
-      } else {
-        out += c;
-      }
-    }
-    if (pos >= text.size()) {
-      failed = true;
-      return out;
-    }
-    ++pos;  // closing quote
-    return out;
-  }
-
-  double parse_number() {
-    skip_ws();
-    std::size_t start = pos;
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-            text[pos] == '-' || text[pos] == '+' || text[pos] == '.' ||
-            text[pos] == 'e' || text[pos] == 'E')) {
-      ++pos;
-    }
-    if (pos == start) {
-      failed = true;
-      return 0;
-    }
-    return std::strtod(std::string(text.substr(start, pos - start)).c_str(),
-                       nullptr);
-  }
-
-  /// Walks `{ "key": <number>, ... }` invoking `fn(key, value)`.
-  template <typename Fn>
-  void parse_number_object(Fn&& fn) {
-    if (!consume('{')) return;
-    if (peek('}')) {
-      ++pos;
-      return;
-    }
-    while (!failed) {
-      std::string key = parse_string();
-      if (!consume(':')) return;
-      double v = parse_number();
-      if (failed) return;
-      fn(key, v);
-      if (peek(',')) {
-        ++pos;
-        continue;
-      }
-      consume('}');
-      return;
-    }
-  }
-};
-
 }  // namespace
 
 Counter& MetricRegistry::counter(std::string_view name) {
@@ -177,18 +81,6 @@ bool MetricRegistry::has_counter(std::string_view name) const {
 
 bool MetricRegistry::has_histogram(std::string_view name) const {
   return histograms_.find(name) != histograms_.end();
-}
-
-void MetricRegistry::reset() {
-  for (auto& [name, c] : counters_) c.reset();
-  for (auto& [name, g] : gauges_) g.reset();
-  for (auto& [name, h] : histograms_) h.reset();
-}
-
-void MetricRegistry::clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
 }
 
 MetricsSnapshot MetricRegistry::snapshot() const {
@@ -288,89 +180,6 @@ void MetricRegistry::emit_trace_counters(TimePs at) const {
   for (const auto& [name, g] : gauges_) {
     trace.counter(track, trace.intern(name), at, g.value());
   }
-}
-
-Result<MetricsSnapshot> MetricsSnapshot::from_json(std::string_view json) {
-  MetricsSnapshot snap;
-  JsonReader r{json};
-  if (!r.consume('{')) {
-    return Status{ErrorCode::kInvalidArgument, "metrics JSON: expected '{'"};
-  }
-  bool saw_meta = false;
-  while (!r.failed) {
-    std::string section = r.parse_string();
-    if (r.failed || !r.consume(':')) break;
-    if (section == "meta") {
-      bool schema_ok = false;
-      // meta values are strings, not numbers; walk it by hand.
-      if (r.consume('{')) {
-        while (!r.failed && !r.peek('}')) {
-          std::string key = r.parse_string();
-          if (!r.consume(':')) break;
-          std::string value = r.parse_string();
-          if (key == "schema" && value == "tca-metrics-v1") schema_ok = true;
-          if (r.peek(',')) ++r.pos;
-        }
-        r.consume('}');
-      }
-      if (!schema_ok) {
-        return Status{ErrorCode::kInvalidArgument,
-                      "metrics JSON: missing or unknown schema"};
-      }
-      saw_meta = true;
-    } else if (section == "counters") {
-      r.parse_number_object([&snap](const std::string& k, double v) {
-        snap.counters[k] = static_cast<std::uint64_t>(v);
-      });
-    } else if (section == "gauges") {
-      r.parse_number_object(
-          [&snap](const std::string& k, double v) { snap.gauges[k] = v; });
-    } else if (section == "histograms") {
-      if (!r.consume('{')) break;
-      if (r.peek('}')) {
-        ++r.pos;
-      } else {
-        while (!r.failed) {
-          std::string name = r.parse_string();
-          if (!r.consume(':')) break;
-          HistogramSummary h;
-          r.parse_number_object([&h](const std::string& k, double v) {
-            if (k == "count") h.count = static_cast<std::uint64_t>(v);
-            else if (k == "mean") h.mean = v;
-            else if (k == "min") h.min = v;
-            else if (k == "max") h.max = v;
-            else if (k == "p50") h.p50 = v;
-            else if (k == "p95") h.p95 = v;
-            else if (k == "p99") h.p99 = v;
-          });
-          snap.histograms[name] = h;
-          if (r.peek(',')) {
-            ++r.pos;
-            continue;
-          }
-          r.consume('}');
-          break;
-        }
-      }
-    } else {
-      return Status{ErrorCode::kInvalidArgument,
-                    "metrics JSON: unknown section '" + section + "'"};
-    }
-    if (r.peek(',')) {
-      ++r.pos;
-      continue;
-    }
-    r.consume('}');
-    break;
-  }
-  if (r.failed) {
-    return Status{ErrorCode::kInvalidArgument, "metrics JSON: parse error"};
-  }
-  if (!saw_meta) {
-    return Status{ErrorCode::kInvalidArgument,
-                  "metrics JSON: missing meta section"};
-  }
-  return snap;
 }
 
 }  // namespace tca::obs

@@ -50,7 +50,6 @@ class Counter {
   void add(std::uint64_t n = 1) { value_ += n; }
   void set(std::uint64_t v) { value_ = v; }
   [[nodiscard]] std::uint64_t value() const { return value_; }
-  void reset() { value_ = 0; }
 
  private:
   std::uint64_t value_ = 0;
@@ -61,7 +60,6 @@ class Gauge {
  public:
   void set(double v) { value_ = v; }
   [[nodiscard]] double value() const { return value_; }
-  void reset() { value_ = 0; }
 
  private:
   double value_ = 0;
@@ -87,14 +85,13 @@ class Histogram {
   [[nodiscard]] double percentile(double p) const {
     return samples_.percentile(p);
   }
-  void reset() { *this = Histogram{}; }
 
  private:
   RunningStats stats_;
   SampleSeries samples_;
 };
 
-/// The JSON-visible summary of a histogram (what snapshots round-trip).
+/// The JSON-visible summary of a histogram.
 struct HistogramSummary {
   std::uint64_t count = 0;
   double mean = 0;
@@ -105,17 +102,13 @@ struct HistogramSummary {
   double p99 = 0;
 };
 
-/// A parsed metrics snapshot — the JSON document as plain maps. Produced by
-/// MetricRegistry::snapshot() and by from_json() (round-trip), consumed by
-/// tests and sidecar tooling.
+/// A metrics snapshot — the JSON document as plain maps. Produced by
+/// MetricRegistry::snapshot(), serialized by to_json(), consumed by the
+/// benchmark harness.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSummary> histograms;
-
-  /// Parses a document previously produced by MetricRegistry::to_json().
-  /// Minimal, schema-specific JSON reader — not a general-purpose parser.
-  static Result<MetricsSnapshot> from_json(std::string_view json);
 };
 
 /// Central registry: find-or-create metrics by hierarchical name. Returned
@@ -137,12 +130,6 @@ class MetricRegistry {
   [[nodiscard]] std::size_t size() const {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
-
-  /// Zeroes every value but keeps the registered names (so a long-running
-  /// harness can diff intervals without re-registering).
-  void reset();
-  /// Drops everything.
-  void clear();
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 

@@ -32,8 +32,7 @@ constexpr std::size_t idx(PortId port) { return static_cast<std::size_t>(port); 
 Peach2Chip::Peach2Chip(sim::Scheduler& sched, const Peach2Config& config)
     : sched_(sched),
       cfg_(config),
-      internal_ram_(calib::kInternalRamBytes),
-      board_dram_(calib::kBoardDramBytes) {
+      internal_ram_(calib::kInternalRamBytes) {
   for (std::size_t p = 0; p < kPortCount; ++p) {
     egress_[p].space = std::make_unique<sim::Trigger>(sched_);
     ingress_[p].pending = std::make_unique<sim::Trigger>(sched_);
@@ -84,19 +83,6 @@ void Peach2Chip::on_tlp(pcie::Tlp tlp, pcie::LinkPort& port) {
     }
   }
   TCA_ASSERT(false && "TLP from unknown port");
-}
-
-std::optional<PortId> Peach2Chip::decide(std::uint64_t addr) const {
-  const auto loc = cfg_.layout.decode(addr);
-  if (loc.has_value() && loc->node == cfg_.node_id) {
-    return loc->target == TcaTarget::kInternal ? PortId::kInternal
-                                               : PortId::kNorth;
-  }
-  if (!loc.has_value()) {
-    // Local bus address (host memory, GPU BARs): lives behind the host port.
-    return PortId::kNorth;
-  }
-  return routing_.lookup(addr);
 }
 
 std::optional<std::uint64_t> Peach2Chip::convert_to_local(
@@ -171,9 +157,10 @@ sim::Task<> Peach2Chip::forwarding_engine(PortId in_port) {
       tlp.address = *local;
       out = PortId::kNorth;
     } else {
-      const auto decision = decide(tlp.address);
-      if (!decision.has_value() || *decision == PortId::kInternal ||
-          ports_[idx(*decision)] == nullptr) {
+      // egress_port_for() sends local bus addresses North without checking
+      // that North is cabled.
+      const auto decision = egress_port_for(tlp.address);
+      if (!decision.has_value() || ports_[idx(*decision)] == nullptr) {
         ++dropped_;
         ++unroutable_;
         raise_error(regs::kErrUnroutable);
@@ -191,13 +178,20 @@ sim::Task<> Peach2Chip::forwarding_engine(PortId in_port) {
   }
 }
 
-sim::Task<> Peach2Chip::enqueue_egress(PortId out, pcie::Tlp tlp) {
+sim::Task<bool> Peach2Chip::admit_egress(PortId out, std::uint64_t wire,
+                                         const bool* aborted) {
   Egress& eg = egress_[idx(out)];
-  const std::uint64_t wire = tlp.wire_bytes();
-  while (eg.reserved_bytes + wire > cfg_.egress_queue_bytes) {
+  while (eg.reserved_bytes + wire > calib::kEgressFifoBytes) {
+    if (aborted != nullptr && *aborted) co_return false;
     co_await eg.space->wait();
   }
   eg.reserved_bytes += wire;
+  co_return true;
+}
+
+sim::Task<> Peach2Chip::enqueue_egress(PortId out, pcie::Tlp tlp) {
+  Egress& eg = egress_[idx(out)];
+  co_await admit_egress(out, tlp.wire_bytes());
   // Remaining pipeline latency before the TLP reaches the egress FIFO. The
   // generation captured here detects a failover flushing this port while
   // the TLP is mid-pipeline: arriving under a stale generation, it joins
@@ -269,13 +263,10 @@ sim::Task<> Peach2Chip::inject(pcie::Tlp tlp, const bool* aborted) {
   // The DMA engine sits at the egress stage: its TLPs do not traverse the
   // ingress store-and-forward pipeline, they enter the egress FIFO directly
   // (still subject to its backpressure).
-  Egress& eg = egress_[idx(*out)];
-  const std::uint64_t wire = tlp.wire_bytes();
-  while (eg.reserved_bytes + wire > cfg_.egress_queue_bytes) {
-    if (aborted != nullptr && *aborted) co_return;  // chain abort: give up
-    co_await eg.space->wait();
+  if (!co_await admit_egress(*out, tlp.wire_bytes(), aborted)) {
+    co_return;  // chain abort: give up
   }
-  eg.reserved_bytes += wire;
+  Egress& eg = egress_[idx(*out)];
   eg.queue.push_back(std::move(tlp));
   pump_egress(*out);
   ++forwarded_;

@@ -1,11 +1,11 @@
 // The PEACH2 chip (Section III).
 //
 // Four PCIe Gen2 x8 ports: North (always the host), East/West (ring,
-// EP/RC roles fixed), South (ring coupling, role selectable). A per-input
+// EP/RC roles fixed), South (ring coupling). A per-input
 // store-and-forward engine routes TLPs by address-range compare only
 // (Section III-E); the sole address *conversion* happens at Port N, where
 // global TCA addresses are rewritten into the local node's PCIe space.
-// The chip further contains: internal packet RAM (+ board DRAM), a chaining
+// The chip further contains: internal packet RAM, a chaining
 // DMA controller (peach2/dmac.h), a register file driven over BAR0, a PEARL
 // delivery-notification mailbox, and a NIOS management stub that tracks
 // per-port link status.
@@ -32,10 +32,6 @@ namespace tca::peach2 {
 class DmaController;
 class NiosController;
 
-/// S-port role: a PCIe link needs one RC and one EP end; the paper swaps
-/// FPGA images to choose, we make it a construction parameter.
-enum class PortRole : std::uint8_t { kEndpoint, kRootComplex };
-
 struct Peach2Config {
   pcie::DeviceId device_id = 0;
   std::uint32_t node_id = 0;
@@ -50,13 +46,6 @@ struct Peach2Config {
   std::uint64_t local_gpu0_base = 0;
   std::uint64_t local_gpu1_base = 0;
   std::uint64_t local_host_base = 0;
-
-  PortRole south_role = PortRole::kEndpoint;
-
-  /// Per-output-port egress FIFO capacity. Deliberately small: the DMA
-  /// engine's descriptor pacing emerges from egress backpressure tracking
-  /// the link drain rate.
-  std::uint64_t egress_queue_bytes = 1024;
 };
 
 class Peach2Chip : public pcie::TlpSink, public pcie::CommitNotifier {
@@ -85,7 +74,6 @@ class Peach2Chip : public pcie::TlpSink, public pcie::CommitNotifier {
     return *dmac_channels_.at(static_cast<std::size_t>(channel));
   }
   [[nodiscard]] mem::Dram& internal_ram() { return internal_ram_; }
-  [[nodiscard]] mem::Dram& board_dram() { return board_dram_; }
 
   /// Interrupt line toward the host (wired to the driver). The handler
   /// receives the DMA channel that completed.
@@ -129,8 +117,9 @@ class Peach2Chip : public pcie::TlpSink, public pcie::CommitNotifier {
   [[nodiscard]] std::optional<std::uint64_t> convert_to_local(
       const TcaLocation& loc) const;
 
-  /// Output port a DMAC injection to `addr` would take (nullopt: internal
-  /// target or unroutable).
+  /// The chip's one routing decision: the output port a TLP to `addr`
+  /// leaves by, for DMAC injections and forwarded traffic alike (nullopt:
+  /// internal target or unroutable).
   [[nodiscard]] std::optional<PortId> egress_port_for(
       std::uint64_t addr) const;
 
@@ -221,12 +210,13 @@ class Peach2Chip : public pcie::TlpSink, public pcie::CommitNotifier {
 
   sim::Task<> forwarding_engine(PortId in_port);
 
-  /// Routing decision for a TCA-window (or local-bus) address.
-  /// Returns the output port, or nullopt for "drop".
-  [[nodiscard]] std::optional<PortId> decide(std::uint64_t addr) const;
-
   void handle_register_tlp(pcie::Tlp tlp);
   void handle_internal_tlp(pcie::Tlp tlp);
+  /// Egress-FIFO admission: suspends until `out`'s FIFO has room for
+  /// `wire` bytes (calib::kEgressFifoBytes), then reserves them. Returns
+  /// false, reserving nothing, once a non-null `aborted` reads true.
+  sim::Task<bool> admit_egress(PortId out, std::uint64_t wire,
+                               const bool* aborted = nullptr);
   sim::Task<> enqueue_egress(PortId out, pcie::Tlp tlp);
   void pump_egress(PortId out);
 
@@ -234,7 +224,6 @@ class Peach2Chip : public pcie::TlpSink, public pcie::CommitNotifier {
   Peach2Config cfg_;
   RoutingTable routing_;
   mem::Dram internal_ram_;
-  mem::Dram board_dram_;
   std::array<pcie::LinkPort*, kPortCount> ports_{};
   std::array<Egress, kPortCount> egress_;
   std::array<Ingress, kPortCount> ingress_;

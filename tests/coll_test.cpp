@@ -306,7 +306,7 @@ TEST(Coll, ReduceScatterOwnsChunkWithRingFoldOrder) {
 
 TEST(Coll, AllgatherReplicatesEveryChunkEverywhere) {
   constexpr std::uint32_t kRanks = 4;
-  constexpr std::uint64_t kChunkBytes = 16 << 10;  // >= gpu_staging_min
+  constexpr std::uint64_t kChunkBytes = 16 << 10;  // >= kGpuStagingMin
 
   sim::Scheduler sched;
   api::Runtime rt(sched, cluster_of(kRanks));

@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -83,6 +84,9 @@ struct Options {
       argv0);
   std::exit(2);
 }
+
+/// Per-target window that --sizes transfers' offsets wrap inside.
+constexpr std::uint32_t kOffsetWindow = 1u << 20;
 
 /// "a,b,c" -> sizes. False on an empty or malformed entry.
 bool parse_sizes(std::string_view arg, std::vector<std::uint32_t>* out) {
@@ -183,6 +187,11 @@ Options parse(int argc, char** argv) {
     opt.spec = fabric::TopologySpec::ring(opt.nodes);
   }
   if (opt.dest >= opt.nodes) usage(argv[0]);
+  // Chain and PIO offsets wrap inside a 1 MiB window of each target; a
+  // larger transfer would overrun it.
+  for (std::uint32_t size : opt.sizes) {
+    if (size > kOffsetWindow) usage(argv[0]);
+  }
   return opt;
 }
 
@@ -198,6 +207,71 @@ api::TcaConfig fabric_config(const Options& opt) {
                                                    : 64ull << 20},
           .fault_plan = opt.fault_plan,
           .enable_failover = opt.failover};
+}
+
+/// The report both modes end with: the fault-plan and recovery lines when
+/// a plan ran (plus the driver's watchdog and retry counts in chain mode,
+/// where `drv` is the driving node's driver), then the --stats /
+/// --stats-out metrics JSON that `export_metrics` fills, and the --trace
+/// file. Returns 1 when a file cannot be written, else 0.
+int report(const Options& opt, fabric::SubCluster& tca, TimePs now,
+           const driver::Peach2Driver* drv,
+           const std::function<void(obs::MetricRegistry&)>& export_metrics) {
+  if (!opt.fault_plan.empty()) {
+    std::uint64_t dropped = 0, replays = 0;
+    for (std::size_t k = 0; k < tca.cable_count(); ++k) {
+      dropped += tca.cable(k).end_a().dropped_tlps() +
+                 tca.cable(k).end_b().dropped_tlps();
+      replays +=
+          tca.cable(k).end_a().replays() + tca.cable(k).end_b().replays();
+    }
+    std::uint64_t error_irqs = 0;
+    for (std::uint32_t n = 0; n < opt.nodes; ++n) {
+      error_irqs += tca.chip(n).error_interrupts();
+    }
+    std::printf("fault-plan: %s\n", opt.fault_plan.to_string().c_str());
+    std::printf(
+        "recovery: failovers=%llu failbacks=%llu dropped_tlps=%llu "
+        "replays=%llu error_irqs=%llu",
+        static_cast<unsigned long long>(tca.failovers()),
+        static_cast<unsigned long long>(tca.failbacks()),
+        static_cast<unsigned long long>(dropped),
+        static_cast<unsigned long long>(replays),
+        static_cast<unsigned long long>(error_irqs));
+    if (drv != nullptr) {
+      std::printf(" watchdog_timeouts=%llu retries=%llu",
+                  static_cast<unsigned long long>(drv->watchdog_timeouts()),
+                  static_cast<unsigned long long>(drv->chain_retries()));
+    }
+    std::printf("\n");
+  }
+
+  if (opt.stats || !opt.stats_path.empty()) {
+    obs::MetricRegistry reg;
+    export_metrics(reg);
+    if (Trace::instance().enabled()) reg.emit_trace_counters(now);
+    if (!opt.stats_path.empty()) {
+      const Status st = reg.write_json(opt.stats_path);
+      if (!st.is_ok()) {
+        std::fprintf(stderr, "stats: %s\n", st.to_string().c_str());
+        return 1;
+      }
+      std::printf("stats: %zu metrics -> %s\n", reg.size(),
+                  opt.stats_path.c_str());
+    }
+    if (opt.stats) std::printf("\n%s", reg.to_json().c_str());
+  }
+
+  if (!opt.trace_path.empty()) {
+    const Status st = Trace::instance().write_json(opt.trace_path);
+    if (!st.is_ok()) {
+      std::fprintf(stderr, "trace: %s\n", st.to_string().c_str());
+      return 1;
+    }
+    std::printf("trace: %zu events -> %s (open in chrome://tracing)\n",
+                Trace::instance().event_count(), opt.trace_path.c_str());
+  }
+  return 0;
 }
 
 /// --workload mode: drive one tca::coll collective (GPU-resident) over the
@@ -366,53 +440,12 @@ int run_workload(const Options& opt, const api::TcaConfig& config) {
               static_cast<unsigned long long>(m.host_carry_bytes),
               static_cast<unsigned long long>(m.put_retries));
 
-  if (!opt.fault_plan.empty()) {
-    fabric::SubCluster& tca = rt.cluster();
-    std::uint64_t dropped = 0, replays = 0;
-    for (std::size_t k = 0; k < tca.cable_count(); ++k) {
-      dropped += tca.cable(k).end_a().dropped_tlps() +
-                 tca.cable(k).end_b().dropped_tlps();
-      replays +=
-          tca.cable(k).end_a().replays() + tca.cable(k).end_b().replays();
-    }
-    std::uint64_t error_irqs = 0;
-    for (std::uint32_t n = 0; n < opt.nodes; ++n) {
-      error_irqs += tca.chip(n).error_interrupts();
-    }
-    std::printf("fault-plan: %s\n", opt.fault_plan.to_string().c_str());
-    std::printf(
-        "recovery: failovers=%llu failbacks=%llu dropped_tlps=%llu "
-        "replays=%llu error_irqs=%llu\n",
-        static_cast<unsigned long long>(tca.failovers()),
-        static_cast<unsigned long long>(tca.failbacks()),
-        static_cast<unsigned long long>(dropped),
-        static_cast<unsigned long long>(replays),
-        static_cast<unsigned long long>(error_irqs));
-  }
-
-  if (opt.stats || !opt.stats_path.empty()) {
-    obs::MetricRegistry reg;
-    comm.export_metrics(reg);
-    if (Trace::instance().enabled()) reg.emit_trace_counters(sched.now());
-    if (!opt.stats_path.empty()) {
-      const Status s = reg.write_json(opt.stats_path);
-      if (!s.is_ok()) {
-        std::fprintf(stderr, "stats: %s\n", s.to_string().c_str());
-        return 1;
-      }
-      std::printf("stats: %zu metrics -> %s\n", reg.size(),
-                  opt.stats_path.c_str());
-    }
-    if (opt.stats) std::printf("\n%s", reg.to_json().c_str());
-  }
-  if (!opt.trace_path.empty()) {
-    const Status s = Trace::instance().write_json(opt.trace_path);
-    if (!s.is_ok()) {
-      std::fprintf(stderr, "trace: %s\n", s.to_string().c_str());
-      return 1;
-    }
-    std::printf("trace: %zu events -> %s (open in chrome://tracing)\n",
-                Trace::instance().event_count(), opt.trace_path.c_str());
+  if (int rc = report(opt, rt.cluster(), sched.now(), nullptr,
+                      [&comm](obs::MetricRegistry& reg) {
+                        comm.export_metrics(reg);
+                      });
+      rc != 0) {
+    return rc;
   }
   if (all_ok && verified) return 0;
   return opt.fault_plan.empty() ? 1 : 0;
@@ -434,12 +467,7 @@ int main(int argc, char** argv) {
   if (!opt.workload.empty()) return run_workload(opt, config);
 
   sim::Scheduler sched;
-  fabric::SubCluster tca(
-      sched, fabric::SubClusterConfig{.spec = config.spec,
-                                      .node_config = config.node_config,
-                                      .fault_plan = config.fault_plan,
-                                      .enable_failover =
-                                          config.enable_failover});
+  fabric::SubCluster tca(sched, config);
   driver::Peach2Driver& drv = tca.driver(0);
 
   // Stage data and pin GPU windows.
@@ -480,15 +508,15 @@ int main(int argc, char** argv) {
       std::vector<std::byte> data(size, std::byte{0x11});
       const TimePs t0 = sched.now();
       for (std::uint32_t i = 0; i < opt.burst; ++i) {
-        auto t = drv.pio_store(target_addr((i * size) % (1 << 20)), data);
+        auto t = drv.pio_store(target_addr((i * size) % kOffsetWindow), data);
         sched.run();
       }
       elapsed = sched.now() - t0;
     } else {
       std::vector<DmaDescriptor> chain;
       for (std::uint32_t i = 0; i < opt.burst; ++i) {
-        const std::uint64_t off =
-            (static_cast<std::uint64_t>(i) * size) % ((1 << 20) - size + 1);
+        const std::uint64_t off = (static_cast<std::uint64_t>(i) * size) %
+                                  (kOffsetWindow - size + 1);
         DmaDescriptor d{.length = size};
         if (opt.op == "write") {
           d.direction = DmaDirection::kWrite;
@@ -533,58 +561,6 @@ int main(int argc, char** argv) {
          units::format_time(elapsed / opt.burst)});
   }
   table.print();
-
-  if (!opt.fault_plan.empty()) {
-    std::uint64_t dropped = 0, replays = 0;
-    for (std::size_t k = 0; k < tca.cable_count(); ++k) {
-      dropped += tca.cable(k).end_a().dropped_tlps() +
-                 tca.cable(k).end_b().dropped_tlps();
-      replays +=
-          tca.cable(k).end_a().replays() + tca.cable(k).end_b().replays();
-    }
-    std::uint64_t error_irqs = 0;
-    for (std::uint32_t n = 0; n < opt.nodes; ++n) {
-      error_irqs += tca.chip(n).error_interrupts();
-    }
-    std::printf("fault-plan: %s\n", opt.fault_plan.to_string().c_str());
-    std::printf(
-        "recovery: failovers=%llu failbacks=%llu dropped_tlps=%llu "
-        "replays=%llu error_irqs=%llu watchdog_timeouts=%llu retries=%llu\n",
-        static_cast<unsigned long long>(tca.failovers()),
-        static_cast<unsigned long long>(tca.failbacks()),
-        static_cast<unsigned long long>(dropped),
-        static_cast<unsigned long long>(replays),
-        static_cast<unsigned long long>(error_irqs),
-        static_cast<unsigned long long>(drv.watchdog_timeouts()),
-        static_cast<unsigned long long>(drv.chain_retries()));
-  }
-
-  if (opt.stats || !opt.stats_path.empty()) {
-    obs::MetricRegistry reg;
-    tca.export_metrics(reg);
-    if (Trace::instance().enabled()) reg.emit_trace_counters(sched.now());
-    if (!opt.stats_path.empty()) {
-      const Status st = reg.write_json(opt.stats_path);
-      if (!st.is_ok()) {
-        std::fprintf(stderr, "stats: %s\n", st.to_string().c_str());
-        return 1;
-      }
-      std::printf("stats: %zu metrics -> %s\n", reg.size(),
-                  opt.stats_path.c_str());
-    }
-    if (opt.stats) {
-      std::printf("\n%s", reg.to_json().c_str());
-    }
-  }
-
-  if (!opt.trace_path.empty()) {
-    const Status st = Trace::instance().write_json(opt.trace_path);
-    if (!st.is_ok()) {
-      std::fprintf(stderr, "trace: %s\n", st.to_string().c_str());
-      return 1;
-    }
-    std::printf("trace: %zu events -> %s (open in chrome://tracing)\n",
-                Trace::instance().event_count(), opt.trace_path.c_str());
-  }
-  return 0;
+  return report(opt, tca, sched.now(), &drv,
+                [&tca](obs::MetricRegistry& reg) { tca.export_metrics(reg); });
 }
