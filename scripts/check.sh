@@ -43,12 +43,12 @@ echo "== repository benchmark self-test =="
 # names, or traced/untraced digest equality fails here.
 python3 perfbench/selftest.py
 
-echo "== fault, driver, API and router suites under ASan/UBSan =="
+echo "== fault, driver, API, router and TLP data-path suites under ASan/UBSan =="
 SAN_BUILD=build-check-asan
 cmake --preset asan > /dev/null
 cmake --build --preset asan -j --target fault_test fault_recovery_test coll_test \
   node_test api_test driver_test channel_test chip_test fabric_test \
-  topology_test
+  topology_test pcie_test gpu_test peach2_test
 ctest --preset asan -j "$(nproc)"
 
 echo "== bench_sim_core smoke =="

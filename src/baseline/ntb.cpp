@@ -53,7 +53,7 @@ void NtbBridge::forward(int from_side, pcie::Tlp tlp) {
   sched_.schedule_after(
       kTranslationPs,
       [this, to_side, peer_addr, payload = std::move(tlp.payload)]() mutable {
-        pcie::Tlp out = pcie::Tlp::mem_write(peer_addr, payload);
+        pcie::Tlp out = pcie::Tlp::mem_write(peer_addr, std::move(payload));
         // Inject into the peer's root complex as if from the NTB EP.
         nodes_[static_cast<std::size_t>(to_side)]->socket(0).inject_from_cpu(
             std::move(out));

@@ -27,23 +27,25 @@ RootComplex::RootComplex(sim::Scheduler& sched, int socket,
 Status RootComplex::attach_device(
     pcie::DeviceId id, pcie::LinkPort& rc_port,
     const std::vector<std::pair<std::uint64_t, std::uint64_t>>& bars) {
+  Egress& egress = *egress_.emplace_back(std::make_unique<Egress>(&rc_port));
   for (const auto& [base, size] : bars) {
     Status st =
-        map_.add(base, size, Attachment{Attachment::Kind::kDevice, &rc_port});
+        map_.add(base, size, Attachment{Attachment::Kind::kDevice, &egress});
     if (!st.is_ok()) return st;
   }
-  requester_route_[id] = Attachment{Attachment::Kind::kDevice, &rc_port};
-  rc_port.set_sink(this);
-  rc_port.set_tx_ready([this, port = &rc_port] { pump(port); });
-  egress_.emplace(&rc_port, std::deque<pcie::Tlp>{});
+  requester_route_[id] = Attachment{Attachment::Kind::kDevice, &egress};
+  serve(egress);
   return Status::ok();
 }
 
 void RootComplex::connect_qpi(pcie::LinkPort& qpi_port) {
-  qpi_port_ = &qpi_port;
-  qpi_port.set_sink(this);
-  qpi_port.set_tx_ready([this, port = &qpi_port] { pump(port); });
-  egress_.emplace(&qpi_port, std::deque<pcie::Tlp>{});
+  qpi_ = egress_.emplace_back(std::make_unique<Egress>(&qpi_port)).get();
+  serve(*qpi_);
+}
+
+void RootComplex::serve(Egress& egress) {
+  egress.port->set_sink(this);
+  egress.port->set_tx_ready([&egress] { pump(egress); });
 }
 
 void RootComplex::inject_from_cpu(pcie::Tlp tlp) {
@@ -54,7 +56,8 @@ void RootComplex::inject_from_cpu(pcie::Tlp tlp) {
 void RootComplex::on_tlp(pcie::Tlp tlp, pcie::LinkPort& port) {
   // The RC has ample internal buffering: return link credits on receipt.
   port.release_rx(tlp.wire_bytes());
-  route(std::move(tlp), /*arrived_via_qpi=*/&port == qpi_port_);
+  route(std::move(tlp),
+        /*arrived_via_qpi=*/qpi_ != nullptr && &port == qpi_->port);
 }
 
 void RootComplex::route(pcie::Tlp tlp, bool arrived_via_qpi) {
@@ -69,8 +72,8 @@ void RootComplex::route(pcie::Tlp tlp, bool arrived_via_qpi) {
   const auto* range = map_.find_span(tlp.address, span);
   if (range == nullptr) {
     // Not local to this socket: cross QPI once.
-    if (!arrived_via_qpi && qpi_port_ != nullptr) {
-      forward(qpi_port_, std::move(tlp));
+    if (!arrived_via_qpi && qpi_ != nullptr) {
+      forward(*qpi_, std::move(tlp));
       return;
     }
     ++unroutable_;
@@ -89,10 +92,7 @@ void RootComplex::route(pcie::Tlp tlp, bool arrived_via_qpi) {
       }
       break;
     case Attachment::Kind::kDevice:
-      forward(range->value.port, std::move(tlp));
-      break;
-    case Attachment::Kind::kQpi:
-      forward(qpi_port_, std::move(tlp));
+      forward(*range->value.egress, std::move(tlp));
       break;
   }
 }
@@ -118,9 +118,9 @@ void RootComplex::handle_host_read(pcie::Tlp tlp) {
     std::uint32_t remaining = req.length;
     while (remaining > 0) {
       const std::uint32_t chunk = std::min(remaining, kMaxPayloadBytes);
-      std::vector<std::byte> data(chunk);
-      host_dram_.read(offset + (req.length - remaining), data);
-      send_to_requester(pcie::Tlp::completion(req, data, remaining));
+      pcie::Tlp cpl = pcie::Tlp::completion(req, chunk, remaining);
+      host_dram_.read(offset + (req.length - remaining), cpl.payload);
+      send_to_requester(std::move(cpl));
       remaining -= chunk;
     }
   });
@@ -134,26 +134,25 @@ void RootComplex::send_to_requester(pcie::Tlp cpl) {
   }
   if (auto it = requester_route_.find(cpl.requester);
       it != requester_route_.end()) {
-    forward(it->second.port, std::move(cpl));
+    forward(*it->second.egress, std::move(cpl));
     return;
   }
-  if (qpi_port_ != nullptr) {
-    forward(qpi_port_, std::move(cpl));
+  if (qpi_ != nullptr) {
+    forward(*qpi_, std::move(cpl));
     return;
   }
   ++unroutable_;
 }
 
-void RootComplex::forward(pcie::LinkPort* port, pcie::Tlp tlp) {
-  TCA_ASSERT(port != nullptr);
-  egress_[port].push_back(std::move(tlp));
-  pump(port);
+void RootComplex::forward(Egress& egress, pcie::Tlp tlp) {
+  egress.queue.push_back(std::move(tlp));
+  pump(egress);
 }
 
-void RootComplex::pump(pcie::LinkPort* port) {
-  auto& queue = egress_[port];
-  while (!queue.empty() && port->can_send(queue.front())) {
-    port->send(std::move(queue.front()));
+void RootComplex::pump(Egress& egress) {
+  auto& queue = egress.queue;
+  while (!queue.empty() && egress.port->can_send(queue.front())) {
+    egress.port->send(std::move(queue.front()));
     queue.pop_front();
   }
 }

@@ -13,9 +13,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -23,6 +22,7 @@
 #include "memory/dram.h"
 #include "memory/range_map.h"
 #include "pcie/link.h"
+#include "sim/ring_fifo.h"
 #include "sim/scheduler.h"
 
 namespace tca::node {
@@ -65,17 +65,25 @@ class RootComplex : public pcie::TlpSink {
   [[nodiscard]] std::uint64_t unroutable_tlps() const { return unroutable_; }
 
  private:
+  /// A downstream or QPI port with the egress queue that feeds it (the RC
+  /// has ample internal buffering; inbound credits are returned on receipt).
+  struct Egress {
+    pcie::LinkPort* port = nullptr;
+    sim::RingFifo<pcie::Tlp> queue;
+  };
   struct Attachment {
-    enum class Kind { kHostMemory, kDevice, kQpi } kind;
-    pcie::LinkPort* port = nullptr;  // for kDevice/kQpi
+    enum class Kind { kHostMemory, kDevice } kind;
+    Egress* egress = nullptr;  // for kDevice
   };
 
   void route(pcie::Tlp tlp, bool arrived_via_qpi);
   void handle_host_write(pcie::Tlp tlp);
   void handle_host_read(pcie::Tlp tlp);
   void send_to_requester(pcie::Tlp cpl);
-  void forward(pcie::LinkPort* port, pcie::Tlp tlp);
-  void pump(pcie::LinkPort* port);
+  /// Makes the RC the sink of `egress.port` and the pump of its queue.
+  void serve(Egress& egress);
+  void forward(Egress& egress, pcie::Tlp tlp);
+  static void pump(Egress& egress);
 
   sim::Scheduler& sched_;
   int socket_;
@@ -84,13 +92,12 @@ class RootComplex : public pcie::TlpSink {
   pcie::DeviceId cpu_id_;
 
   mem::RangeMap<Attachment> map_;
-  pcie::LinkPort* qpi_port_ = nullptr;
+  Egress* qpi_ = nullptr;
   std::unordered_map<pcie::DeviceId, Attachment> requester_route_;
   std::function<void(pcie::Tlp)> cpu_completion_;
 
-  // Per-port egress queues (the RC has ample internal buffering; inbound
-  // credits are returned on receipt).
-  std::map<pcie::LinkPort*, std::deque<pcie::Tlp>> egress_;
+  // One per attached port; the link callbacks hold their addresses.
+  std::vector<std::unique_ptr<Egress>> egress_;
 
   std::uint64_t host_wr_ = 0;
   std::uint64_t host_rd_ = 0;

@@ -10,13 +10,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 
 #include "common/error.h"
 #include "common/rng.h"
 #include "pcie/tlp.h"
+#include "sim/ring_fifo.h"
 #include "sim/scheduler.h"
 
 namespace tca::pcie {
@@ -186,13 +186,13 @@ class LinkPort {
   std::function<void(bool)> link_state_cb_;
 
   // Transmit side.
-  std::deque<Tlp> tx_queue_;
+  sim::RingFifo<Tlp> tx_queue_;
   std::uint64_t tx_queued_ = 0;
   bool wire_busy_ = false;
   std::function<void()> tx_ready_;
   std::function<void()> replay_threshold_cb_;
   sim::Scheduler::EventId wire_done_event_ = sim::Scheduler::kInvalidEvent;
-  std::deque<InFlight> in_flight_;  // FIFO: front is oldest
+  sim::RingFifo<InFlight> in_flight_;  // FIFO: front is oldest
   std::uint32_t head_replay_count_ = 0;  // consecutive replays of head TLP
 
   // Receive side.

@@ -4,11 +4,14 @@
 // (posted), Memory Read Request (non-posted), Completion-with-Data, and a
 // vendor-defined message used by PEARL for end-to-end delivery notification.
 // TLPs carry *real payload bytes* so data integrity is checkable end-to-end.
+// Those bytes live in pooled buffers (Payload, below) so that a TLP's trip
+// through the model allocates nothing once the pool has warmed up.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
+#include <utility>
 
 #include "calib/calibration.h"
 #include "common/units.h"
@@ -46,6 +49,69 @@ class CommitNotifier {
   ~CommitNotifier() = default;
 };
 
+/// A TLP's payload bytes: a handle to a byte buffer recycled through a
+/// thread-confined pool. Buffers come in power-of-two size classes from
+/// kMaxPayloadBytes up; the pool grows on demand and never shrinks, so it
+/// holds at most the peak number of payloads ever alive at once. Moving a
+/// Payload hands its buffer over; copying makes a deep copy; destroying it
+/// returns the buffer to the pool. Pooled memory is host memory only:
+/// nothing simulated (time, traces, metrics) depends on it. Under
+/// AddressSanitizer a buffer sitting in the pool is poisoned, so a use after
+/// its Payload died is reported.
+class Payload {
+ public:
+  Payload() noexcept = default;
+  Payload(const Payload& other) { assign(other); }
+  Payload& operator=(const Payload& other) {
+    if (this != &other) assign(other);
+    return *this;
+  }
+  Payload(Payload&& other) noexcept
+      : data_(std::exchange(other.data_, nullptr)),
+        size_(std::exchange(other.size_, 0)),
+        size_class_(other.size_class_) {}
+  Payload& operator=(Payload&& other) noexcept {
+    if (this != &other) {
+      reset();
+      data_ = std::exchange(other.data_, nullptr);
+      size_ = std::exchange(other.size_, 0);
+      size_class_ = other.size_class_;
+    }
+    return *this;
+  }
+  ~Payload() { reset(); }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::byte* data() { return data_; }
+  [[nodiscard]] const std::byte* data() const { return data_; }
+  [[nodiscard]] std::byte* begin() { return data_; }
+  [[nodiscard]] std::byte* end() { return data_ + size_; }
+  [[nodiscard]] const std::byte* begin() const { return data_; }
+  [[nodiscard]] const std::byte* end() const { return data_ + size_; }
+
+  /// Replaces the contents with a copy of `bytes`.
+  void assign(std::span<const std::byte> bytes);
+
+  /// Sizes the payload to `n` bytes for the caller to fill; the bytes are
+  /// unspecified until written. Keeps the buffer when it is large enough.
+  void resize_for_overwrite(std::size_t n);
+
+  /// Returns the buffer to the pool, leaving the payload empty.
+  void reset() noexcept {
+    if (data_ != nullptr) release();
+  }
+
+  friend bool operator==(const Payload& a, std::span<const std::byte> b);
+
+ private:
+  void release() noexcept;
+
+  std::byte* data_ = nullptr;
+  std::uint32_t size_ = 0;
+  std::uint8_t size_class_ = 0;  ///< capacity = kMaxPayloadBytes << class
+};
+
 struct Tlp {
   TlpType type = TlpType::kMemWrite;
 
@@ -71,7 +137,7 @@ struct Tlp {
   /// CommitNotifier). Used by the DMAC's remote-write completion window.
   std::uint64_t ack_address = 0;
 
-  std::vector<std::byte> payload;
+  Payload payload;
 
   /// When non-null on a MemWrite, the committing endpoint calls
   /// `commit_notifier->on_write_commit(ack_address, tag)` at the simulated
@@ -89,11 +155,18 @@ struct Tlp {
 
   /// Builders -------------------------------------------------------------
 
+  // Every builder that sizes a payload asserts calib::kMaxPayloadBytes.
   static Tlp mem_write(std::uint64_t address, std::span<const std::byte> data,
+                       DeviceId requester = 0);
+  /// Takes over `data` without copying it (forwarding a read completion).
+  static Tlp mem_write(std::uint64_t address, Payload data,
                        DeviceId requester = 0);
   static Tlp mem_read(std::uint64_t address, std::uint32_t length,
                       DeviceId requester, std::uint8_t tag);
-  static Tlp completion(const Tlp& request, std::span<const std::byte> data,
+  /// Completion for the `length` bytes of `request` that start
+  /// `byte_count_remaining` bytes before its end. The payload is sized to
+  /// `length` and unfilled: the responder reads memory straight into it.
+  static Tlp completion(const Tlp& request, std::uint32_t length,
                         std::uint32_t byte_count_remaining);
   // tca-protocol: acks-on-commit
   static Tlp vendor_msg(std::uint64_t address, DeviceId requester,

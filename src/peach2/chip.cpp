@@ -362,11 +362,11 @@ void Peach2Chip::handle_internal_tlp(pcie::Tlp tlp) {
         while (remaining > 0) {
           const std::uint32_t chunk =
               std::min(remaining, calib::kMaxPayloadBytes);
-          std::vector<std::byte> data(chunk);
-          internal_ram_.read(base + (req.length - remaining), data);
-          sim::spawn([](Peach2Chip& chip, pcie::Tlp cpl) -> sim::Task<> {
-            co_await chip.enqueue_egress(PortId::kNorth, std::move(cpl));
-          }(*this, pcie::Tlp::completion(req, data, remaining)));
+          pcie::Tlp cpl = pcie::Tlp::completion(req, chunk, remaining);
+          internal_ram_.read(base + (req.length - remaining), cpl.payload);
+          sim::spawn([](Peach2Chip& chip, pcie::Tlp c) -> sim::Task<> {
+            co_await chip.enqueue_egress(PortId::kNorth, std::move(c));
+          }(*this, std::move(cpl)));
           remaining -= chunk;
         }
       });
@@ -393,11 +393,11 @@ void Peach2Chip::handle_register_tlp(pcie::Tlp tlp) {
     TCA_ASSERT(tlp.length == 8 && "registers are 64-bit");
     sched_.schedule_after(kRegAccessPs, [this, req = std::move(tlp), offset] {
       const std::uint64_t value = read_register(offset);
-      std::vector<std::byte> data(8);
-      std::memcpy(data.data(), &value, 8);
-      sim::spawn([](Peach2Chip& chip, pcie::Tlp cpl) -> sim::Task<> {
-        co_await chip.enqueue_egress(PortId::kNorth, std::move(cpl));
-      }(*this, pcie::Tlp::completion(req, data, req.length)));
+      pcie::Tlp cpl = pcie::Tlp::completion(req, 8, req.length);
+      std::memcpy(cpl.payload.data(), &value, 8);
+      sim::spawn([](Peach2Chip& chip, pcie::Tlp c) -> sim::Task<> {
+        co_await chip.enqueue_egress(PortId::kNorth, std::move(c));
+      }(*this, std::move(cpl)));
     });
     return;
   }

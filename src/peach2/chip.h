@@ -13,7 +13,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -23,6 +22,7 @@
 #include "pcie/link.h"
 #include "peach2/routing.h"
 #include "peach2/tca_layout.h"
+#include "sim/ring_fifo.h"
 #include "sim/scheduler.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -192,7 +192,7 @@ class Peach2Chip : public pcie::TlpSink, public pcie::CommitNotifier {
  private:
   struct Egress {
     pcie::LinkPort* port = nullptr;
-    std::deque<pcie::Tlp> queue;
+    sim::RingFifo<pcie::Tlp> queue;
     std::uint64_t reserved_bytes = 0;
     std::unique_ptr<sim::Trigger> space;
     /// Bumped by abandon_egress(). TLPs in the route-pipeline delay carry
@@ -202,7 +202,7 @@ class Peach2Chip : public pcie::TlpSink, public pcie::CommitNotifier {
     std::uint64_t generation = 0;
   };
   struct Ingress {
-    std::deque<pcie::Tlp> queue;
+    sim::RingFifo<pcie::Tlp> queue;
     pcie::LinkPort* link = nullptr;
     std::unique_ptr<sim::Trigger> pending;
     sim::Task<> engine;

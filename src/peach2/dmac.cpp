@@ -32,8 +32,10 @@ DmaController::DmaController(sim::Scheduler& sched, Peach2Chip& chip,
       chip_(chip),
       channel_(channel),
       tag_sem_(sched, kDmaReadTags),
+      pending_reads_(static_cast<std::uint8_t>(channel * 64)),
       reads_drained_(sched),
       forwards_done_(sched),
+      ack_arrived_(static_cast<std::uint8_t>(channel * 64 + 32)),
       ack_event_(sched) {
   TCA_ASSERT(channel >= 0 && channel < calib::kDmaChannels);
   // Disjoint per-channel tag window (see the constructor comment).
@@ -112,12 +114,12 @@ void DmaController::abort(ErrorCode code) {
   // Forget outstanding non-posted requests: cancel their completion timers
   // and hand their tags back. A completion that still arrives later is
   // counted as unexpected (errors_) and otherwise ignored.
-  for (auto& [tag, pr] : pending_reads_) {
+  pending_reads_.for_each([this](std::uint8_t tag, PendingRead& pr) {
     if (pr.timeout_event != sim::Scheduler::kInvalidEvent) {
       sched_.cancel(pr.timeout_event);
     }
     release_tag(tag);
-  }
+  });
   pending_reads_.clear();
   outstanding_reads_ = 0;
   reads_drained_.pulse();
@@ -133,9 +135,9 @@ void DmaController::abort(ErrorCode code) {
 }
 
 void DmaController::on_completion_timeout(std::uint8_t tag) {
-  auto it = pending_reads_.find(tag);
-  if (it == pending_reads_.end()) return;
-  it->second.timeout_event = sim::Scheduler::kInvalidEvent;
+  PendingRead* pr = pending_reads_.find(tag);
+  if (pr == nullptr) return;
+  pr->timeout_event = sim::Scheduler::kInvalidEvent;
   ++completion_timeouts_;
   Log::write(LogLevel::kWarn, "dmac", "completion timeout, aborting chain");
   chip_.raise_error(regs::kErrCompletionTimeout);
@@ -275,7 +277,7 @@ sim::Task<> DmaController::exec_write(DmaDescriptor d) {
     if (want_ack && sent + chunk == d.length) {
       ack_tag = next_ack_tag_;
       next_ack_tag_ = next_ack_tag();
-      ack_arrived_[ack_tag] = false;
+      ack_arrived_.set(ack_tag, false);
       tlp.ack_address = chip_.internal_block_base();
       tlp.tag = ack_tag;
     }
@@ -336,9 +338,10 @@ sim::Task<> DmaController::exec_read(DmaDescriptor d) {
       co_return;
     }
     // tca-protocol: transfer(dma-tag)
-    pending_reads_[tag] = PendingRead{.dst_internal_offset = dst_off + issued,
-                                      .remaining = chunk};
-    pending_reads_[tag].timeout_event = sched_.schedule_after(
+    PendingRead& pending = pending_reads_.set(
+        tag, PendingRead{.dst_internal_offset = dst_off + issued,
+                         .remaining = chunk});
+    pending.timeout_event = sched_.schedule_after(
         calib::kCompletionTimeoutPs, [this, tag] { on_completion_timeout(tag); });
     ++outstanding_reads_;
     co_await chip_.inject(pcie::Tlp::mem_read(*local_src + issued, chunk,
@@ -392,12 +395,12 @@ sim::Task<> DmaController::exec_pipelined(DmaDescriptor d) {
       pending.ack_tag = next_ack_tag_;
       next_ack_tag_ = next_ack_tag();
       pending.ack_address = chip_.internal_block_base();
-      ack_arrived_[pending.ack_tag] = false;
+      ack_arrived_.set(pending.ack_tag, false);
       pending_acks_.push_back(pending.ack_tag);
     }
     pending.timeout_event = sched_.schedule_after(
         calib::kCompletionTimeoutPs, [this, tag] { on_completion_timeout(tag); });
-    pending_reads_[tag] = pending;  // tca-protocol: transfer(dma-tag)
+    pending_reads_.set(tag, pending);  // tca-protocol: transfer(dma-tag)
     ++outstanding_reads_;
     co_await chip_.inject(pcie::Tlp::mem_read(*local_src + issued, chunk,
                                               chip_.device_id(), tag),
@@ -410,19 +413,20 @@ sim::Task<> DmaController::exec_pipelined(DmaDescriptor d) {
 }
 
 void DmaController::on_read_completion(pcie::Tlp cpl) {
-  auto it = pending_reads_.find(cpl.tag);
-  if (it == pending_reads_.end()) {
+  PendingRead* found = pending_reads_.find(cpl.tag);
+  if (found == nullptr) {
     ++errors_;
     return;
   }
-  PendingRead& pr = it->second;
+  PendingRead& pr = *found;
   TCA_ASSERT(cpl.payload.size() <= pr.remaining);
   const auto size = static_cast<std::uint32_t>(cpl.payload.size());
 
   if (pr.forward_to != 0) {
-    // Pipelined mode: forward the chunk toward the destination immediately.
-    pcie::Tlp out =
-        pcie::Tlp::mem_write(pr.forward_to, cpl.payload, chip_.device_id());
+    // Pipelined mode: forward the chunk toward the destination immediately,
+    // handing the completion's payload buffer on instead of copying it.
+    pcie::Tlp out = pcie::Tlp::mem_write(pr.forward_to, std::move(cpl.payload),
+                                         chip_.device_id());
     pr.forward_to += size;
     if (pr.last_of_descriptor && pr.remaining == size &&
         pr.ack_address != 0) {
@@ -445,7 +449,7 @@ void DmaController::on_read_completion(pcie::Tlp cpl) {
     if (pr.timeout_event != sim::Scheduler::kInvalidEvent) {
       sched_.cancel(pr.timeout_event);
     }
-    pending_reads_.erase(it);
+    pending_reads_.erase(tag);
     release_tag(tag);
     TCA_ASSERT(outstanding_reads_ > 0);
     if (--outstanding_reads_ == 0) reads_drained_.pulse();
@@ -453,20 +457,20 @@ void DmaController::on_read_completion(pcie::Tlp cpl) {
 }
 
 void DmaController::on_delivery_ack(std::uint8_t tag) {
-  auto it = ack_arrived_.find(tag);
-  if (it == ack_arrived_.end()) {
+  bool* arrived = ack_arrived_.find(tag);
+  if (arrived == nullptr) {
     ++errors_;
     return;
   }
-  it->second = true;
+  *arrived = true;
   ack_event_.pulse();
 }
 
 sim::Task<> DmaController::drain_acks(std::size_t max_pending) {
   while (pending_acks_.size() > max_pending) {
     const std::uint8_t front = pending_acks_.front();
-    // An abort clears the window maps while this loop is suspended, so the
-    // abort check must come before any map access.
+    // An abort clears the window tables while this loop is suspended, so
+    // the abort check must come before any table access.
     while (!aborted_ && !ack_arrived_.at(front)) co_await ack_event_.wait();
     if (aborted_) co_return;
     ack_arrived_.erase(front);

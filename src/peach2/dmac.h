@@ -21,17 +21,19 @@
 // driver actually wrote).
 #pragma once
 
+#include <array>
+#include <bitset>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
 #include "calib/calibration.h"
+#include "common/error.h"
 #include "peach2/descriptor.h"
 #include "peach2/tca_layout.h"
 #include "pcie/tlp.h"
+#include "sim/ring_fifo.h"
 #include "sim/scheduler.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -39,6 +41,57 @@
 namespace tca::peach2 {
 
 class Peach2Chip;
+
+/// Per-tag state for the `kTags` consecutive PCIe tags starting at `base`,
+/// looked up by tag in O(1). A tag outside the range is never present.
+/// for_each visits live entries in ascending tag order, so walks over the
+/// table are deterministic.
+template <typename T, std::size_t kTags>
+class TagTable {
+ public:
+  explicit TagTable(std::uint8_t base) : base_(base) {}
+
+  /// The entry for `tag`, or nullptr when none is live.
+  T* find(std::uint8_t tag) {
+    const std::size_t i = index(tag);
+    return i < kTags && live_[i] ? &slots_[i] : nullptr;
+  }
+  /// The live entry for `tag`, which must exist.
+  T& at(std::uint8_t tag) {
+    T* entry = find(tag);
+    TCA_ASSERT(entry != nullptr);
+    return *entry;
+  }
+  /// Creates or overwrites the entry for `tag`.
+  T& set(std::uint8_t tag, T value) {
+    const std::size_t i = index(tag);
+    TCA_ASSERT(i < kTags);
+    live_.set(i);
+    return slots_[i] = std::move(value);
+  }
+  void erase(std::uint8_t tag) {
+    TCA_ASSERT(index(tag) < kTags);
+    live_.reset(index(tag));
+  }
+  void clear() { live_.reset(); }
+
+  template <typename F>
+  void for_each(F&& f) {
+    for (std::size_t i = 0; i < kTags; ++i) {
+      if (live_[i]) f(static_cast<std::uint8_t>(base_ + i), slots_[i]);
+    }
+  }
+
+ private:
+  /// Tags below base_ wrap to a large index and miss.
+  [[nodiscard]] std::size_t index(std::uint8_t tag) const {
+    return static_cast<std::uint8_t>(tag - base_);
+  }
+
+  std::uint8_t base_;
+  std::bitset<kTags> live_;
+  std::array<T, kTags> slots_{};
+};
 
 class DmaController {
  public:
@@ -198,10 +251,11 @@ class DmaController {
   // Read machinery.
   sim::Semaphore tag_sem_;
   std::vector<std::uint8_t> free_tags_;
-  // Ordered map: abort() walks the outstanding reads and hands their tags
-  // back, and that walk must be deterministic (the free-tag list feeds
-  // later tag assignment, so unordered iteration would diverge replay).
-  std::map<std::uint8_t, PendingRead> pending_reads_;
+  // Read tags live at [channel*64, channel*64 + kDmaReadTags). abort()
+  // walks the outstanding reads in ascending tag order and hands their tags
+  // back; that order feeds later tag assignment through free_tags_, so it
+  // must not depend on anything but the tags.
+  TagTable<PendingRead, calib::kDmaReadTags> pending_reads_;
   std::uint32_t outstanding_reads_ = 0;
   sim::Trigger reads_drained_;
 
@@ -212,8 +266,9 @@ class DmaController {
   sim::Trigger forwards_done_;
 
   // Remote-write delivery-notification window.
-  std::deque<std::uint8_t> pending_acks_;
-  std::map<std::uint8_t, bool> ack_arrived_;
+  // Ack tags live at [channel*64 + 32, channel*64 + 64).
+  sim::RingFifo<std::uint8_t> pending_acks_;
+  TagTable<bool, 32> ack_arrived_;
   sim::Trigger ack_event_;
   std::uint8_t next_ack_tag_ = 0;
 

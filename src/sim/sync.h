@@ -7,10 +7,10 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/error.h"
+#include "sim/ring_fifo.h"
 #include "sim/scheduler.h"
 #include "sim/task.h"
 
@@ -159,7 +159,7 @@ class Semaphore {
   Scheduler& sched_;
   std::int64_t permits_;
   std::int64_t granted_ = 0;  // permits pre-consumed for scheduled waiters
-  std::deque<std::coroutine_handle<>> waiters_;
+  RingFifo<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace tca::sim

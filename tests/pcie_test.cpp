@@ -1,15 +1,22 @@
-// Unit tests for the PCIe substrate: TLP framing/overhead math and the
-// link model (serialization timing, ordering, credit backpressure).
+// Unit tests for the PCIe substrate: TLP framing/overhead math, the link
+// model (serialization timing, ordering, credit backpressure, surprise-down
+// replay), and the read responders' completion splitting.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <vector>
 
 #include "calib/calibration.h"
 #include "common/units.h"
+#include "gpu/gpu_device.h"
+#include "memory/dram.h"
+#include "node/root_complex.h"
 #include "pcie/link.h"
 #include "pcie/tlp.h"
+#include "peach2/chip.h"
+#include "peach2/registers.h"
 #include "sim/scheduler.h"
 
 namespace tca::pcie {
@@ -44,13 +51,49 @@ TEST(Tlp, ReadRequestIsHeaderOnly) {
 
 TEST(Tlp, CompletionTracksRemainderAndOffset) {
   Tlp req = Tlp::mem_read(0x1000, 512, 3, 7);
-  auto first = make_payload(256);
-  Tlp cpl1 = Tlp::completion(req, first, /*byte_count_remaining=*/512);
+  Tlp cpl1 = Tlp::completion(req, 256, /*byte_count_remaining=*/512);
   EXPECT_EQ(cpl1.address, 0x1000u);
   EXPECT_EQ(cpl1.tag, 7);
   EXPECT_EQ(cpl1.requester, 3);
-  Tlp cpl2 = Tlp::completion(req, first, /*byte_count_remaining=*/256);
+  EXPECT_EQ(cpl1.payload.size(), 256u);  // sized for the responder to fill
+  EXPECT_EQ(cpl1.wire_bytes(), calib::kTlpCompletionOverheadBytes + 256);
+  Tlp cpl2 = Tlp::completion(req, 256, /*byte_count_remaining=*/256);
   EXPECT_EQ(cpl2.address, 0x1100u);  // second half of the read
+}
+
+TEST(Tlp, CompletionBuilderEnforcesMaxPayload) {
+  Tlp req = Tlp::mem_read(0x1000, 512, 3, 7);
+  EXPECT_DEATH((void)Tlp::completion(req, calib::kMaxPayloadBytes + 1, 512),
+               "TCA_ASSERT failed");
+  EXPECT_DEATH((void)Tlp::completion(req, 256, 128), "TCA_ASSERT failed");
+}
+
+TEST(Tlp, PayloadCopiesDeepAndMovesHandOver) {
+  const auto bytes = make_payload(100, 3);
+  Tlp a = Tlp::mem_write(0, bytes);
+  Tlp copy = a;
+  EXPECT_NE(copy.payload.data(), a.payload.data());
+  EXPECT_EQ(copy.payload, bytes);
+  const std::byte* buffer = a.payload.data();
+  Tlp moved = std::move(a);
+  EXPECT_EQ(moved.payload.data(), buffer);
+  EXPECT_TRUE(a.payload.empty());  // NOLINT(bugprone-use-after-move)
+  // Payloads above one TLP's worth still fit (hand-built TLPs in benches).
+  moved.payload.assign(make_payload(4096, 5));
+  EXPECT_EQ(moved.payload, make_payload(4096, 5));
+  EXPECT_EQ(moved.wire_bytes(), calib::kTlpWithDataOverheadBytes + 4096);
+}
+
+TEST(Tlp, PooledPayloadUseAfterReleaseIsReported) {
+#if defined(__SANITIZE_ADDRESS__)
+  Payload payload;
+  payload.assign(make_payload(64));
+  const volatile std::byte* stale = payload.data();
+  payload.reset();  // the buffer is back in the pool
+  EXPECT_DEATH((void)*stale, "use-after-poison");
+#else
+  GTEST_SKIP() << "pooled buffers are poisoned only under AddressSanitizer";
+#endif
 }
 
 TEST(Tlp, VendorMsgRoutesByAddress) {
@@ -351,6 +394,125 @@ TEST(Link, SustainedThroughputMatchesPaperPeak) {
 
   const double gbps = units::gbytes_per_second(kTotal, sched.now());
   EXPECT_NEAR(gbps, 3.657, 0.02);  // the paper's theoretical peak
+}
+
+TEST(Link, SurpriseDownOnWrappedQueueRetransmitsInOrder) {
+  // A long stream keeps the transmit and in-flight rings wrapping around
+  // their storage; the cut lands mid-stream with TLPs on the wire, which
+  // return to the head of the transmit queue and go out again, in their
+  // original order and exactly once, after retrain.
+  sim::Scheduler sched;
+  PcieLink link(sched, {.gen = 2, .lanes = 8, .propagation_ps = us(1)});
+  RecordingSink sink(sched);
+  link.end_b().set_sink(&sink);
+
+  constexpr int kTlps = 400;
+  int next = 0;
+  std::function<void()> pump = [&] {
+    while (next < kTlps) {
+      Tlp tlp = Tlp::mem_write(static_cast<std::uint64_t>(next) * 0x100,
+                               make_payload(256, static_cast<std::uint8_t>(next)));
+      if (!link.end_a().can_send(tlp)) return;
+      link.end_a().send(std::move(tlp));
+      ++next;
+    }
+  };
+  link.end_a().set_tx_ready(pump);
+  pump();
+  sched.schedule_at(us(9), [&] { link.set_up(false); });
+  sched.schedule_at(us(12), [&] { link.set_up(true); });
+  sched.run();
+
+  EXPECT_GT(link.end_a().dropped_tlps(), 1u);
+  ASSERT_EQ(sink.received.size(), static_cast<std::size_t>(kTlps));
+  for (int i = 0; i < kTlps; ++i) {
+    const Tlp& t = sink.received[static_cast<std::size_t>(i)];
+    EXPECT_EQ(t.address, static_cast<std::uint64_t>(i) * 0x100) << i;
+    EXPECT_EQ(t.payload, make_payload(256, static_cast<std::uint8_t>(i))) << i;
+  }
+}
+
+// --- Read responders ---------------------------------------------------------
+
+/// Checks that `cpls` answer one read of `data.size()` bytes at `address`
+/// with completions of at most kMaxPayloadBytes, in order, carrying `data`.
+void expect_split_completions(const std::vector<Tlp>& cpls,
+                              std::uint64_t address,
+                              const std::vector<std::byte>& data) {
+  const std::size_t expected =
+      (data.size() + calib::kMaxPayloadBytes - 1) / calib::kMaxPayloadBytes;
+  ASSERT_EQ(cpls.size(), expected);
+  std::vector<std::byte> joined;
+  auto remaining = static_cast<std::uint32_t>(data.size());
+  for (const Tlp& cpl : cpls) {
+    EXPECT_EQ(cpl.type, TlpType::kCompletion);
+    EXPECT_LE(cpl.payload.size(), calib::kMaxPayloadBytes);
+    EXPECT_EQ(cpl.length, cpl.payload.size());
+    EXPECT_EQ(cpl.byte_count_remaining, remaining);
+    EXPECT_EQ(cpl.address, address + (data.size() - remaining));
+    joined.insert(joined.end(), cpl.payload.begin(), cpl.payload.end());
+    remaining -= static_cast<std::uint32_t>(cpl.payload.size());
+  }
+  EXPECT_EQ(joined, data);
+}
+
+TEST(Responders, SplitReadsIntoMaxPayloadCompletions) {
+  constexpr std::uint32_t kRead = 2 * calib::kMaxPayloadBytes;
+  const auto data = make_payload(kRead, 9);
+  sim::Scheduler sched;
+
+  // Host DRAM behind the root complex, read by a downstream device.
+  mem::Dram dram(1 << 20);
+  dram.write(0x200, data);
+  node::RootComplex rc(sched, 0, dram, /*host_base=*/0, /*cpu_id=*/1);
+  PcieLink rc_link(sched, {.gen = 2, .lanes = 8});
+  RecordingSink device(sched);
+  rc_link.end_b().set_sink(&device);
+  ASSERT_TRUE(rc.attach_device(7, rc_link.end_a(), {}).is_ok());
+  rc_link.end_b().send(Tlp::mem_read(0x200, kRead, 7, 1));
+
+  // GPU BAR1 read.
+  gpu::GpuDevice gpu(sched, 8,
+                     {.memory_bytes = 1 << 20, .bar1_base = 0x1000'0000});
+  PcieLink gpu_link(sched, {.gen = 2, .lanes = 8});
+  RecordingSink gpu_reader(sched);
+  gpu.attach(gpu_link.end_b());
+  gpu_link.end_a().set_sink(&gpu_reader);
+  const gpu::DevPtr dev = gpu.mem_alloc(64 << 10).value();
+  const std::uint64_t bar =
+      gpu.pin_pages(gpu.get_p2p_token(dev).value(), dev, 64 << 10).value();
+  gpu.poke(dev, data);
+  gpu_link.end_a().send(Tlp::mem_read(bar, kRead, 2, 2));
+
+  // PEACH2 internal RAM and register file, read from the host port.
+  const auto layout =
+      peach2::TcaLayout::create(1ull << 40, 1ull << 39, 4).value();
+  peach2::Peach2Chip chip(sched, {.device_id = 42,
+                                  .node_id = 0,
+                                  .layout = layout,
+                                  .reg_base = 0x30'0000'0000ull});
+  PcieLink north(sched, {.gen = 2, .lanes = 8});
+  RecordingSink host(sched);
+  chip.attach_port(peach2::PortId::kNorth, north.end_a());
+  north.end_b().set_sink(&host);
+  chip.internal_ram().write(0x100, data);
+  const std::uint64_t ram = chip.internal_block_base() +
+                            peach2::Peach2Chip::kInternalRamOffset + 0x100;
+  north.end_b().send(Tlp::mem_read(ram, kRead, 3, 3));
+  sched.run();
+  std::vector<Tlp> ram_cpls = std::move(host.received);
+  host.received.clear();
+  // Registers are 64-bit: the largest read they answer is one 8-B CplD.
+  const std::uint64_t reg = 0x30'0000'0000ull + peach2::regs::kChipId;
+  north.end_b().send(Tlp::mem_read(reg, 8, 3, 4));
+  sched.run();
+
+  expect_split_completions(device.received, 0x200, data);
+  expect_split_completions(gpu_reader.received, bar, data);
+  expect_split_completions(ram_cpls, ram, data);
+  std::vector<std::byte> chip_id(8);
+  std::memcpy(chip_id.data(), &peach2::regs::kChipIdValue, 8);
+  expect_split_completions(host.received, reg, chip_id);
 }
 
 }  // namespace

@@ -207,7 +207,7 @@ TEST(EventFn, SimCaptureShapesStayInline) {
 
   pcie::Tlp tlp;
   tlp.address = 0x1000;
-  tlp.payload.resize(4096);
+  tlp.payload.resize_for_overwrite(4096);
   EventFn delivery([p = &fake, t = std::move(tlp)] { ++p->hits; });
   static_assert(sizeof(pcie::Tlp) + sizeof(void*) <= EventFn::kInlineBytes);
   EXPECT_FALSE(delivery.heap_allocated());

@@ -1,14 +1,16 @@
 // Unit tests for the discrete-event core: Scheduler, coroutine Tasks,
-// Trigger and Semaphore.
+// Trigger, Semaphore and the RingFifo queue.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
+#include "sim/ring_fifo.h"
 #include "sim/scheduler.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -471,6 +473,92 @@ TEST(Semaphore, ReleaseManyWakesMany) {
   sched.run();
   EXPECT_EQ(woke, 3);
   EXPECT_EQ(sem.available(), 0);
+}
+
+// --- RingFifo ---------------------------------------------------------------
+
+std::vector<int> contents(const RingFifo<int>& q) {
+  return std::vector<int>(q.begin(), q.end());
+}
+
+TEST(RingFifo, WrapsAroundWithoutGrowing) {
+  RingFifo<int> q;
+  for (int i = 0; i < 8; ++i) q.push_back(i);
+  const std::size_t capacity = q.capacity();
+  // Slide the window past the end of the storage several times.
+  for (int i = 8; i < 40; ++i) {
+    EXPECT_EQ(q.front(), i - 8);
+    q.pop_front();
+    q.push_back(i);
+    EXPECT_EQ(q.back(), i);
+  }
+  EXPECT_EQ(q.capacity(), capacity);
+  EXPECT_EQ(contents(q), (std::vector<int>{32, 33, 34, 35, 36, 37, 38, 39}));
+}
+
+TEST(RingFifo, GrowsWhileWrappedKeepingOrder) {
+  RingFifo<int> q;
+  for (int i = 0; i < 8; ++i) q.push_back(i);
+  for (int i = 0; i < 5; ++i) q.pop_front();
+  for (int i = 8; i < 13; ++i) q.push_back(i);  // tail wraps past the end
+  ASSERT_EQ(q.size(), q.capacity());
+  const std::size_t capacity = q.capacity();
+  q.push_back(13);  // grows with the live range split across the storage
+  EXPECT_EQ(q.capacity(), 2 * capacity);
+  EXPECT_EQ(contents(q), (std::vector<int>{5, 6, 7, 8, 9, 10, 11, 12, 13}));
+  q.push_front(4);
+  EXPECT_EQ(q.front(), 4);
+  EXPECT_EQ(q.size(), 10u);
+}
+
+TEST(RingFifo, PushFrontAfterPopsReplaysInOriginalOrder) {
+  // The data-link replay path: TLPs taken off the front (in flight) return
+  // newest-first to the front, so the queue reads in original order again.
+  RingFifo<int> q;
+  for (int i = 0; i < 6; ++i) q.push_back(i);
+  std::vector<int> in_flight;
+  for (int i = 0; i < 4; ++i) {
+    in_flight.push_back(q.front());
+    q.pop_front();
+  }
+  q.push_back(6);
+  q.push_back(7);
+  q.push_back(8);  // wraps
+  while (!in_flight.empty()) {
+    q.push_front(in_flight.back());
+    in_flight.pop_back();
+  }
+  EXPECT_EQ(contents(q), (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+  q.pop_back();
+  EXPECT_EQ(q.back(), 7);
+}
+
+TEST(RingFifo, IteratesFrontToBack) {
+  RingFifo<int> q;
+  for (int i = 0; i < 3; ++i) q.push_back(i);
+  q.push_front(-1);
+  q.push_front(-2);  // wraps below the start of the storage
+  EXPECT_EQ(contents(q), (std::vector<int>{-2, -1, 0, 1, 2}));
+  int sum = 0;
+  for (const int v : q) sum += v;
+  EXPECT_EQ(sum, 0);
+  EXPECT_EQ(std::distance(q.begin(), q.end()), 5);
+}
+
+TEST(RingFifo, ClearDestroysElementsAndKeepsCapacity) {
+  auto alive = std::make_shared<int>(0);
+  RingFifo<std::shared_ptr<int>> q;
+  for (int i = 0; i < 20; ++i) q.push_back(alive);
+  q.pop_front();
+  EXPECT_EQ(alive.use_count(), 20);
+  const std::size_t capacity = q.capacity();
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(alive.use_count(), 1);  // every element destroyed
+  EXPECT_EQ(q.capacity(), capacity);
+  q.push_back(alive);
+  EXPECT_EQ(q.front(), alive);
+  EXPECT_EQ(q.size(), 1u);
 }
 
 }  // namespace
