@@ -43,12 +43,12 @@ echo "== repository benchmark self-test =="
 # names, or traced/untraced digest equality fails here.
 python3 perfbench/selftest.py
 
-echo "== fault, driver, API, router and TLP data-path suites under ASan/UBSan =="
+echo "== fault, driver, API, router, TLP data-path and workload suites under ASan/UBSan =="
 SAN_BUILD=build-check-asan
 cmake --preset asan > /dev/null
 cmake --build --preset asan -j --target fault_test fault_recovery_test coll_test \
   node_test api_test driver_test channel_test chip_test fabric_test \
-  topology_test pcie_test gpu_test peach2_test
+  topology_test pcie_test gpu_test peach2_test workload_test
 ctest --preset asan -j "$(nproc)"
 
 echo "== bench_sim_core smoke =="
@@ -126,11 +126,15 @@ TCA_LOG=error "$BUILD"/tools/tca_chaos --seed 1 --campaigns 25 --replay-check
 TCA_LOG=error "$BUILD"/tools/tca_chaos --corpus tests/chaos
 
 echo "== tca_explore torus smoke =="
-# 2D torus, dimension-order routed: a cross-dimension DMA plus a collective
-# riding the boustrophedon ring order (allreduce verifies the result).
+# 2D torus, dimension-order routed: a cross-dimension DMA plus workloads
+# riding the boustrophedon ring order (each verifies its bytes and exits
+# non-zero on a mismatch).
 "$BUILD"/tools/tca_explore --topology torus:4x4 --op pipelined \
   --target remote-host --dest 5 --burst 8 --sizes 4096
 "$BUILD"/tools/tca_explore --topology torus:4x4 --workload allreduce \
   --size 65536
+"$BUILD"/tools/tca_explore --topology torus:4x4 --workload halo --size 2048
+"$BUILD"/tools/tca_explore --topology torus:4x4 --workload pingpong \
+  --size 2048
 
 echo "check.sh: OK"

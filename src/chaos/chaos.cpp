@@ -1,8 +1,7 @@
 #include "chaos/chaos.h"
 
 #include <algorithm>
-#include <cstring>
-#include <optional>
+#include <span>
 #include <utility>
 
 #include "api/tca.h"
@@ -15,7 +14,6 @@
 #include "fabric/sub_cluster.h"
 #include "obs/metrics.h"
 #include "sim/scheduler.h"
-#include "sim/task.h"
 
 namespace tca::chaos {
 
@@ -36,26 +34,6 @@ constexpr TimePs kFlagTimeoutPs = ms(2);
 constexpr TimePs kHorizonPs = ms(100);
 
 }  // namespace
-
-const char* to_string(Workload w) {
-  switch (w) {
-    case Workload::kAllreduce: return "allreduce";
-    case Workload::kHalo: return "halo";
-    case Workload::kPingPong: return "pingpong";
-    case Workload::kMixed: return "mixed";
-  }
-  return "?";
-}
-
-Result<Workload> parse_workload(std::string_view text) {
-  if (text == "allreduce") return Workload::kAllreduce;
-  if (text == "halo") return Workload::kHalo;
-  if (text == "pingpong") return Workload::kPingPong;
-  if (text == "mixed") return Workload::kMixed;
-  return Status(ErrorCode::kInvalidArgument,
-                "unknown workload \"" + std::string(text) +
-                    "\" (want allreduce|halo|pingpong|mixed)");
-}
 
 namespace {
 
@@ -113,7 +91,7 @@ std::string CampaignSpec::to_string() const {
   std::string out;
   out += "seed=" + std::to_string(seed) + "\n";
   out += "topology=" + topology_to_string(topology) + "\n";
-  out += "workload=" + std::string(chaos::to_string(workload)) + "\n";
+  out += "workload=" + std::string(workload::to_string(workload)) + "\n";
   out += "plan=" + plan.to_string() + "\n";
   return out;
 }
@@ -163,7 +141,7 @@ Result<CampaignSpec> CampaignSpec::parse(std::string_view text) {
       spec.topology = topo.value();
     } else if (key == "workload") {
       bit = 1u << 2;
-      auto w = parse_workload(value);
+      auto w = workload::parse(value);
       if (!w.is_ok()) return w.status();
       spec.workload = w.value();
     } else if (key == "plan") {
@@ -246,49 +224,21 @@ fabric::FaultPlan generate_fault_plan(std::uint64_t seed,
 
 namespace {
 
-/// Deterministic small-integer payloads: every derived double is an integer
-/// in [0, 1024), so cross-rank sums are exact regardless of fold order.
-double init_value(std::uint64_t seed, std::uint32_t rank, std::uint64_t j) {
-  return static_cast<double>((j * 7 + rank * 13 + seed % 64) % 1024);
-}
-
-std::byte pattern_byte(std::uint64_t seed, std::uint32_t sender, int stream,
-                       std::uint64_t j) {
-  return static_cast<std::byte>(
-      (seed * 31 + sender * 131 + static_cast<std::uint64_t>(stream) * 17 +
-       j * 7) &
-      0xff);
-}
-
-struct TaskSlot {
-  Status status;
-  bool done = false;
-};
-
-sim::Task<> allreduce_rank(coll::Communicator* comm, std::uint32_t rank,
-                           api::Buffer buf, std::uint64_t count,
-                           TaskSlot* slot) {
-  slot->status = co_await comm->allreduce_sum(rank, buf, 0, count);
-  slot->done = true;
-}
-
-sim::Task<> halo_rank(coll::Communicator* comm, std::uint32_t rank,
-                      coll::HaloSpec spec, TaskSlot* slot) {
-  slot->status = co_await comm->neighbor_exchange(rank, spec);
-  slot->done = true;
-}
-
-sim::Task<> pingpong_node(api::Runtime* rt, api::Buffer send_fwd,
-                          api::Buffer dst_fwd, api::Buffer send_rev,
-                          api::Buffer dst_rev, std::uint64_t bytes,
-                          api::SyncOptions opts, TaskSlot* fwd,
-                          TaskSlot* rev) {
-  fwd->status =
-      co_await rt->memcpy_peer_reliable(dst_fwd, 0, send_fwd, 0, bytes, opts);
-  fwd->done = true;
-  rev->status =
-      co_await rt->memcpy_peer_reliable(dst_rev, 0, send_rev, 0, bytes, opts);
-  rev->done = true;
+/// The workload's bytes, part of the campaign's identity. The allreduce
+/// straddles the eager/ring crossover (n*64 doubles ride eager, n*256 the
+/// DMA ring); the 4 KiB halo row crosses onto the DMA staging path.
+std::uint64_t campaign_bytes(const CampaignSpec& spec) {
+  switch (spec.workload) {
+    case workload::Kind::kAllreduce:
+    case workload::Kind::kMixed:
+      return spec.topology.node_count() * (1 + spec.seed % 4) * 64 *
+             sizeof(double);
+    case workload::Kind::kHalo:
+      return 1024ull << (spec.seed % 3);
+    case workload::Kind::kPingPong:
+      return 4096;
+  }
+  return 0;
 }
 
 /// A campaign failure is any status outside the clean-outcome set: a fault
@@ -343,9 +293,6 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
               rt_result.status().to_string());
     } else {
       api::Runtime rt = std::move(rt_result).value();
-      const std::uint32_t n = rt.node_count();
-      const api::SyncOptions sync{.deadline_ps = kDeadlinePs,
-                                  .max_attempts = kMaxAttempts};
 
       // Heartbeats: probes spread across the horizon that record the clock;
       // the monotonic-time invariant checks them after the run.
@@ -357,160 +304,19 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
         });
       }
 
-      const bool wants_coll = spec.workload == Workload::kAllreduce ||
-                              spec.workload == Workload::kHalo ||
-                              spec.workload == Workload::kMixed;
-      const bool wants_pingpong = spec.workload == Workload::kPingPong ||
-                                  spec.workload == Workload::kMixed;
-
-      std::optional<coll::Communicator> comm;
-      if (wants_coll) {
-        coll::CollConfig ccfg;
-        ccfg.pipeline_seg_bytes = 4096;
-        ccfg.staging_slots = 2;
-        ccfg.sync = sync;
-        ccfg.flag_timeout_ps = kFlagTimeoutPs;
-        auto comm_result = coll::Communicator::create(rt, ccfg);
-        if (!comm_result.is_ok()) {
-          violate("communicator construction failed: " +
-                  comm_result.status().to_string());
-        } else {
-          comm.emplace(std::move(comm_result).value());
-        }
-      }
-
-      // --- Workload setup + spawn ---------------------------------------
-      std::vector<TaskSlot> slots;
-      bool setup_ok = !wants_coll || comm.has_value();
-
-      // Allreduce state. Seed-scaled payload straddles the eager/ring
-      // crossover: n*64 doubles (512 B/rank at n=8) rides eager, n*256
-      // doubles rides the chained-DMA ring pipeline.
-      std::vector<api::Buffer> ar_bufs;
-      const std::uint64_t ar_count = n * (1 + spec.seed % 4) * 64;
-      // Halo state: 1/2/4 KiB per direction — the 4 KiB draw crosses the
-      // eager threshold onto the DMA staging path.
-      std::vector<api::Buffer> halo_bufs;
-      const std::uint64_t kHaloBytes = 1024ull << (spec.seed % 3);
-      // PingPong state.
-      std::vector<api::Buffer> pp_send_fwd, pp_send_rev, pp_recv_fwd,
-          pp_recv_rev;
-      constexpr std::uint64_t kPpBytes = 4096;
-      const std::vector<std::uint32_t> ring = spec.topology.ring_order();
-      std::vector<std::uint32_t> ring_pos(n);
-      for (std::uint32_t p = 0; p < n; ++p) ring_pos[ring[p]] = p;
-      auto ring_next = [&](std::uint32_t r) { return ring[(ring_pos[r] + 1) % n]; };
-      auto ring_prev = [&](std::uint32_t r) {
-        return ring[(ring_pos[r] + n - 1) % n];
-      };
-
-      if (setup_ok && (spec.workload == Workload::kAllreduce ||
-                       spec.workload == Workload::kMixed)) {
-        for (std::uint32_t r = 0; r < n && setup_ok; ++r) {
-          auto buf = rt.alloc_host(r, ar_count * sizeof(double));
-          if (!buf.is_ok()) {
-            violate("allreduce alloc failed on node " + std::to_string(r) +
-                    ": " + buf.status().to_string());
-            setup_ok = false;
-            break;
-          }
-          std::vector<double> init(ar_count);
-          for (std::uint64_t j = 0; j < ar_count; ++j) {
-            init[j] = init_value(spec.seed, r, j);
-          }
-          rt.write(buf.value(), 0,
-                   std::as_bytes(std::span<const double>(init)));
-          ar_bufs.push_back(buf.value());
-        }
-      }
-      if (setup_ok && spec.workload == Workload::kHalo) {
-        for (std::uint32_t r = 0; r < n && setup_ok; ++r) {
-          auto buf = rt.alloc_host(r, 4 * kHaloBytes);
-          if (!buf.is_ok()) {
-            violate("halo alloc failed on node " + std::to_string(r) + ": " +
-                    buf.status().to_string());
-            setup_ok = false;
-            break;
-          }
-          std::vector<std::byte> region(kHaloBytes);
-          for (std::uint64_t j = 0; j < kHaloBytes; ++j) {
-            region[j] = pattern_byte(spec.seed, r, 0, j);
-          }
-          rt.write(buf.value(), 0, region);  // send_to_next
-          for (std::uint64_t j = 0; j < kHaloBytes; ++j) {
-            region[j] = pattern_byte(spec.seed, r, 1, j);
-          }
-          rt.write(buf.value(), kHaloBytes, region);  // send_to_prev
-          halo_bufs.push_back(buf.value());
-        }
-      }
-      if (setup_ok && wants_pingpong) {
-        for (std::uint32_t r = 0; r < n && setup_ok; ++r) {
-          auto mk = [&](std::vector<api::Buffer>& into,
-                        int stream) -> bool {
-            auto buf = rt.alloc_host(r, kPpBytes);
-            if (!buf.is_ok()) {
-              violate("pingpong alloc failed on node " + std::to_string(r) +
-                      ": " + buf.status().to_string());
-              return false;
-            }
-            if (stream >= 0) {
-              std::vector<std::byte> fill(kPpBytes);
-              for (std::uint64_t j = 0; j < kPpBytes; ++j) {
-                fill[j] = pattern_byte(spec.seed, r, 2 + stream, j);
-              }
-              rt.write(buf.value(), 0, fill);
-            }
-            into.push_back(buf.value());
-            return true;
-          };
-          setup_ok = mk(pp_send_fwd, 0) && mk(pp_send_rev, 1) &&
-                     mk(pp_recv_fwd, -1) && mk(pp_recv_rev, -1);
-        }
-      }
-
-      // Slot layout: [0,n) allreduce ranks, then n halo ranks or 2n
-      // pingpong ops, in workload order. Reserve before spawning — tasks
-      // hold raw pointers into the vector.
-      std::size_t slot_count = 0;
-      if (setup_ok) {
-        if (spec.workload == Workload::kAllreduce) slot_count = n;
-        if (spec.workload == Workload::kHalo) slot_count = n;
-        if (spec.workload == Workload::kPingPong) slot_count = 2 * n;
-        if (spec.workload == Workload::kMixed) slot_count = 3 * n;
-      }
-      slots.resize(slot_count);
-
-      if (setup_ok) {
-        std::size_t next_slot = 0;
-        if (spec.workload == Workload::kAllreduce ||
-            spec.workload == Workload::kMixed) {
-          for (std::uint32_t r = 0; r < n; ++r) {
-            sim::spawn(allreduce_rank(&*comm, r, ar_bufs[r], ar_count,
-                                      &slots[next_slot++]));
-          }
-        }
-        if (spec.workload == Workload::kHalo) {
-          for (std::uint32_t r = 0; r < n; ++r) {
-            coll::HaloSpec hs;
-            hs.buf = halo_bufs[r];
-            hs.send_to_next_off = 0;
-            hs.send_to_prev_off = kHaloBytes;
-            hs.recv_from_prev_off = 2 * kHaloBytes;
-            hs.recv_from_next_off = 3 * kHaloBytes;
-            hs.bytes = kHaloBytes;
-            sim::spawn(halo_rank(&*comm, r, hs, &slots[next_slot++]));
-          }
-        }
-        if (wants_pingpong) {
-          for (std::uint32_t r = 0; r < n; ++r) {
-            sim::spawn(pingpong_node(
-                &rt, pp_send_fwd[r], pp_recv_fwd[ring_next(r)],
-                pp_send_rev[r], pp_recv_rev[ring_prev(r)], kPpBytes, sync,
-                &slots[next_slot], &slots[next_slot + 1]));
-            next_slot += 2;
-          }
-        }
+      auto work = workload::Workload::setup(
+          rt, spec.workload, workload::Placement::kHost, campaign_bytes(spec),
+          spec.seed,
+          {.pipeline_seg_bytes = 4096,
+           .staging_slots = 2,
+           .sync = {.deadline_ps = kDeadlinePs, .max_attempts = kMaxAttempts},
+           .flag_timeout_ps = kFlagTimeoutPs});
+      std::span<const workload::OpSlot> slots;
+      if (!work.is_ok()) {
+        violate("workload setup failed: " + work.status().to_string());
+      } else {
+        work.value().spawn();
+        slots = work.value().slots();
       }
 
       // --- Run -----------------------------------------------------------
@@ -555,106 +361,16 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
       }
 
       // Data integrity, checked only where the protocol promised delivery.
-      if (setup_ok && !wedged) {
-        if ((spec.workload == Workload::kAllreduce ||
-             spec.workload == Workload::kMixed)) {
-          bool all_ok = true;
-          for (std::uint32_t r = 0; r < n; ++r) {
-            all_ok = all_ok && slots[r].status.is_ok();
-          }
-          if (all_ok) {
-            std::vector<double> expected(ar_count);
-            for (std::uint64_t j = 0; j < ar_count; ++j) {
-              double sum = 0;
-              for (std::uint32_t r = 0; r < n; ++r) {
-                sum += init_value(spec.seed, r, j);
-              }
-              expected[j] = sum;
-            }
-            std::vector<double> got(ar_count);
-            for (std::uint32_t r = 0; r < n; ++r) {
-              rt.read(ar_bufs[r], 0,
-                      std::as_writable_bytes(std::span<double>(got)));
-              for (std::uint64_t j = 0; j < ar_count; ++j) {
-                if (got[j] != expected[j]) {
-                  violate("data: allreduce rank " + std::to_string(r) +
-                          " element " + std::to_string(j) + " = " +
-                          std::to_string(got[j]) + ", want " +
-                          std::to_string(expected[j]));
-                  break;
-                }
-              }
-            }
-          }
-        }
-        if (spec.workload == Workload::kHalo) {
-          std::vector<std::byte> got(kHaloBytes);
-          for (std::uint32_t r = 0; r < n; ++r) {
-            const std::uint32_t prev = ring_prev(r);
-            const std::uint32_t next = ring_next(r);
-            if (!slots[r].status.is_ok() || !slots[prev].status.is_ok() ||
-                !slots[next].status.is_ok()) {
-              continue;
-            }
-            rt.read(halo_bufs[r], 2 * kHaloBytes, got);
-            for (std::uint64_t j = 0; j < kHaloBytes; ++j) {
-              if (got[j] != pattern_byte(spec.seed, prev, 0, j)) {
-                violate("data: halo rank " + std::to_string(r) +
-                        " recv_from_prev byte " + std::to_string(j) +
-                        " wrong");
-                break;
-              }
-            }
-            rt.read(halo_bufs[r], 3 * kHaloBytes, got);
-            for (std::uint64_t j = 0; j < kHaloBytes; ++j) {
-              if (got[j] != pattern_byte(spec.seed, next, 1, j)) {
-                violate("data: halo rank " + std::to_string(r) +
-                        " recv_from_next byte " + std::to_string(j) +
-                        " wrong");
-                break;
-              }
-            }
-          }
-        }
-        if (wants_pingpong) {
-          const std::size_t base =
-              spec.workload == Workload::kMixed ? n : 0;
-          std::vector<std::byte> got(kPpBytes);
-          for (std::uint32_t r = 0; r < n; ++r) {
-            // recv_fwd[r] was written by ring_prev(r)'s forward op.
-            const std::uint32_t pf = ring_prev(r);
-            if (slots[base + 2 * pf].status.is_ok()) {
-              rt.read(pp_recv_fwd[r], 0, got);
-              for (std::uint64_t j = 0; j < kPpBytes; ++j) {
-                if (got[j] != pattern_byte(spec.seed, pf, 2, j)) {
-                  violate("data: pingpong fwd into node " +
-                          std::to_string(r) + " byte " + std::to_string(j) +
-                          " wrong");
-                  break;
-                }
-              }
-            }
-            // recv_rev[r] was written by ring_next(r)'s reverse op.
-            const std::uint32_t pr = ring_next(r);
-            if (slots[base + 2 * pr + 1].status.is_ok()) {
-              rt.read(pp_recv_rev[r], 0, got);
-              for (std::uint64_t j = 0; j < kPpBytes; ++j) {
-                if (got[j] != pattern_byte(spec.seed, pr, 3, j)) {
-                  violate("data: pingpong rev into node " +
-                          std::to_string(r) + " byte " + std::to_string(j) +
-                          " wrong");
-                  break;
-                }
-              }
-            }
-          }
+      if (work.is_ok() && !wedged) {
+        if (const Status st = work.value().verify(); !st.is_ok()) {
+          violate("data: " + st.message());
         }
       }
 
       // Hardware-counter invariants via the metrics surface.
       obs::MetricRegistry reg;
-      if (comm.has_value()) {
-        comm->export_metrics(reg);
+      if (work.is_ok() && work.value().communicator() != nullptr) {
+        work.value().communicator()->export_metrics(reg);
       } else {
         rt.export_metrics(reg);
       }

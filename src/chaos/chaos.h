@@ -28,9 +28,8 @@
 //    metric snapshots hash identically on every replay. The CLI's
 //    --replay-check runs each campaign a second time from the same spec and
 //    compares both hashes.
-//  * Data integrity — when a workload reports success, the payload it
-//    delivered is verified element-for-element (initial values are small
-//    integers, so floating-point sums are exact and fold-order-free).
+//  * Data integrity — every region a workload op delivered with kOk is
+//    verified byte for byte (workload::Workload::verify).
 //
 // A failing campaign is delta-debugged (`shrink_campaign`): the FaultPlan's
 // event list is ddmin-reduced to a locally minimal reproducer, rendered via
@@ -47,19 +46,9 @@
 #include "common/units.h"
 #include "fabric/fault_plan.h"
 #include "fabric/topology.h"
+#include "workload/workload.h"
 
 namespace tca::chaos {
-
-/// Workload a campaign drives while the fault plan fires.
-enum class Workload : std::uint8_t {
-  kAllreduce,  ///< coll::Communicator::allreduce_sum on every rank
-  kHalo,       ///< coll::Communicator::neighbor_exchange on every rank
-  kPingPong,   ///< raw memcpy_peer_reliable ring, both directions
-  kMixed,      ///< allreduce and pingpong concurrently
-};
-
-const char* to_string(Workload w);
-Result<Workload> parse_workload(std::string_view text);
 
 /// Parses the campaign grammar's topology token: "ring:N", "dual-ring:N" or
 /// "torus:XxY[xZ]". Unlike TopologySpec::parse, ring node counts ride in
@@ -74,7 +63,8 @@ std::string topology_to_string(const fabric::TopologySpec& topo);
 struct CampaignSpec {
   std::uint64_t seed = 1;
   fabric::TopologySpec topology = fabric::TopologySpec::ring(4);
-  Workload workload = Workload::kAllreduce;
+  /// The workload driven while the fault plan fires.
+  workload::Kind workload = workload::Kind::kAllreduce;
   /// Fault schedule. Empty means "generate from seed" — shrinking and the
   /// corpus always materialize it explicitly.
   fabric::FaultPlan plan;

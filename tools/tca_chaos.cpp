@@ -25,6 +25,7 @@
 
 #include "chaos/chaos.h"
 #include "common/parse.h"
+#include "workload/workload.h"
 
 using namespace tca;
 
@@ -34,7 +35,9 @@ struct Options {
   std::uint64_t seed = 1;
   std::uint32_t campaigns = 8;
   std::vector<std::string> topologies = {"ring:8", "torus:4x4", "torus:2x2x2"};
-  std::string workload = "all";  // rotate through every workload
+  // Rotated through, one per campaign.
+  std::vector<workload::Kind> workloads = {std::begin(workload::kAllKinds),
+                                           std::end(workload::kAllKinds)};
   bool replay_check = false;     // run each campaign twice, compare hashes
   std::string corpus_dir;        // replay *.campaign files instead
   std::string shrink_out;        // write minimized reproducers here
@@ -81,7 +84,12 @@ Options parse_args(int argc, char** argv) {
       opt.topologies = split_commas(next());
       if (opt.topologies.empty()) usage(argv[0]);
     } else if (a == "--workload") {
-      opt.workload = next();
+      const std::string name = next();
+      if (name != "all") {
+        auto kind = workload::parse(name);
+        if (!kind.is_ok()) usage(argv[0]);
+        opt.workloads = {kind.value()};
+      }
     } else if (a == "--replay-check") {
       opt.replay_check = true;
     } else if (a == "--corpus") {
@@ -110,7 +118,8 @@ void print_result(const std::string& label, const chaos::CampaignSpec& spec,
               "failbacks=%llu\n",
               label.c_str(), static_cast<unsigned long long>(spec.seed),
               chaos::topology_to_string(spec.topology).c_str(),
-              chaos::to_string(spec.workload), r.passed() ? "PASS" : "FAIL",
+              workload::to_string(spec.workload),
+              r.passed() ? "PASS" : "FAIL",
               static_cast<unsigned long long>(r.trace_hash),
               static_cast<unsigned long long>(r.metrics_hash), r.ops_ok,
               r.ops_failed, static_cast<unsigned long long>(r.failovers),
@@ -192,11 +201,6 @@ int main(int argc, char** argv) {
   const Options opt = parse_args(argc, argv);
   if (!opt.corpus_dir.empty()) return run_corpus(opt);
 
-  const std::vector<std::string> workloads =
-      opt.workload == "all"
-          ? std::vector<std::string>{"allreduce", "halo", "pingpong", "mixed"}
-          : std::vector<std::string>{opt.workload};
-
   int failures = 0;
   for (std::uint32_t i = 0; i < opt.campaigns; ++i) {
     chaos::CampaignSpec spec;
@@ -209,12 +213,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     spec.topology = topo.value();
-    auto w = chaos::parse_workload(workloads[i % workloads.size()]);
-    if (!w.is_ok()) {
-      std::fprintf(stderr, "error: %s\n", w.status().to_string().c_str());
-      return 2;
-    }
-    spec.workload = w.value();
+    spec.workload = opt.workloads[i % opt.workloads.size()];
 
     chaos::CampaignResult r = chaos::run_campaign(spec);
     bool failed = !r.passed();

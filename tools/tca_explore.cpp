@@ -19,18 +19,20 @@
 //   tca_explore --fault-plan "ber:cable=0,at=0,for=1ms,rate=1e-6" --stats
 //   tca_explore --no-failover --fault-plan "cut:cable=0,at=2us" --deadline 500
 //
-// Collective workloads (tca::coll over the api::Runtime, GPU-resident):
+// Workloads (tca::workload over the api::Runtime, GPU-resident; the same
+// allreduce | halo | pingpong | mixed the chaos engine runs, verified byte
+// for byte). --size is the allreduce vector, the halo row per direction,
+// or the pingpong message per direction:
 //   tca_explore --workload allreduce --size 1048576 --nodes 8
 //   tca_explore --workload halo --size 8192 --stats
+//   tca_explore --topology torus:4x4 --workload pingpong --size 4096
 //   tca_explore --workload allreduce --size 65536
 //       --fault-plan "cut:cable=0,at=5us" --deadline 300 --attempts 4
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
-#include <span>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,6 +44,7 @@
 #include "common/trace.h"
 #include "fabric/fault_plan.h"
 #include "obs/metrics.h"
+#include "workload/workload.h"
 
 using namespace tca;
 using bench::DmaRig;
@@ -66,7 +69,7 @@ struct Options {
   bool failover = true;           // ring failover on cable death
   std::uint32_t deadline_us = 0;  // per-attempt chain watchdog (0 = off)
   std::uint32_t attempts = 1;     // doorbell attempts per chain
-  std::string workload;           // "" | allreduce | halo (tca::coll mode)
+  std::optional<workload::Kind> workload;  // set: workload mode
   std::uint64_t size = 1ull << 20;  // workload payload bytes
 };
 
@@ -80,7 +83,7 @@ struct Options {
       "          [--trace FILE] [--stats] [--stats-out FILE]\n"
       "          [--fault-plan SPEC] [--no-failover] [--deadline USEC]\n"
       "          [--attempts N]\n"
-      "          [--workload allreduce|halo --size BYTES]\n",
+      "          [--workload allreduce|halo|pingpong|mixed --size BYTES]\n",
       argv0);
   std::exit(2);
 }
@@ -154,18 +157,16 @@ Options parse(int argc, char** argv) {
     } else if (a == "--attempts") {
       next_number(&opt.attempts);
     } else if (a == "--workload") {
-      opt.workload = next();
+      auto kind = workload::parse(next());
+      if (!kind.is_ok()) usage(argv[0]);
+      opt.workload = kind.value();
     } else if (a == "--size") {
       next_number(&opt.size);
     } else {
       usage(argv[0]);
     }
   }
-  if (!opt.workload.empty() && opt.workload != "allreduce" &&
-      opt.workload != "halo") {
-    usage(argv[0]);
-  }
-  if (!opt.workload.empty() && opt.size == 0) usage(argv[0]);
+  if (opt.workload && opt.size == 0) usage(argv[0]);
   if (opt.op != "write" && opt.op != "read" && opt.op != "pipelined" &&
       opt.op != "pio") {
     usage(argv[0]);
@@ -202,9 +203,8 @@ api::TcaConfig fabric_config(const Options& opt) {
   return {.spec = opt.spec,
           .node_config = {.gpu_count = 2,
                           .host_backing_bytes = 64ull << 20,
-                          .gpu_backing_bytes = opt.workload.empty()
-                                                   ? 8ull << 20
-                                                   : 64ull << 20},
+                          .gpu_backing_bytes =
+                              opt.workload ? 64ull << 20 : 8ull << 20},
           .fault_plan = opt.fault_plan,
           .enable_failover = opt.failover};
 }
@@ -274,7 +274,7 @@ int report(const Options& opt, fabric::SubCluster& tca, TimePs now,
   return 0;
 }
 
-/// --workload mode: drive one tca::coll collective (GPU-resident) over the
+/// --workload mode: drive one tca::workload (GPU-resident) over the
 /// api::Runtime instead of raw driver chains, composing with --nodes,
 /// --topology, --fault-plan, --no-failover, --deadline, --attempts,
 /// --stats and --trace. A healthy run exits non-zero on verification
@@ -283,171 +283,69 @@ int report(const Options& opt, fabric::SubCluster& tca, TimePs now,
 int run_workload(const Options& opt, const api::TcaConfig& config) {
   sim::Scheduler sched;
   api::Runtime rt(sched, config);
-
+  const workload::Kind kind = *opt.workload;
   coll::CollConfig cfg;
-  cfg.sync.max_attempts = opt.attempts;
-  if (opt.deadline_us > 0) cfg.sync.deadline_ps = units::us(opt.deadline_us);
+  cfg.sync = {.deadline_ps = units::us(opt.deadline_us),
+              .max_attempts = opt.attempts};
   // A fault campaign may kill a neighbor's doorbell outright; bound the
   // flag waits so the run reports kTimedOut instead of never terminating.
-  if (!opt.fault_plan.empty() && cfg.flag_timeout_ps == 0) {
-    cfg.flag_timeout_ps = units::ms(50);
-  }
-  auto comm_res = coll::Communicator::create(rt, cfg);
-  if (!comm_res.is_ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 comm_res.status().to_string().c_str());
-    return 2;
-  }
-  coll::Communicator& comm = comm_res.value();
+  if (!opt.fault_plan.empty()) cfg.flag_timeout_ps = units::ms(50);
 
   std::printf("tca_explore: %u-node %s, workload=%s size=%s\n", opt.nodes,
-              opt.spec.to_string().c_str(), opt.workload.c_str(),
+              opt.spec.to_string().c_str(), workload::to_string(kind),
               units::format_size(opt.size).c_str());
-
-  std::vector<Status> st(opt.nodes, Status::ok());
-  bool verified = false;
-  std::uint64_t payload = 0;  // per-rank payload bytes, for the GB/s line
-  TimePs elapsed = 0;
-
-  if (opt.workload == "allreduce") {
-    std::uint64_t count = opt.size / sizeof(double);
-    count -= count % opt.nodes;  // the ring partitions the vector evenly
-    if (count == 0) {
-      std::fprintf(stderr, "error: --size must cover at least %u doubles\n",
-                   opt.nodes);
-      return 2;
-    }
-    payload = count * sizeof(double);
-    Rng rng(42);
-    std::vector<std::vector<double>> in(opt.nodes);
-    std::vector<api::Buffer> bufs(opt.nodes);
-    for (std::uint32_t r = 0; r < opt.nodes; ++r) {
-      auto buf = rt.alloc_gpu(r, 0, payload);  // --size may exceed the GPU
-      if (!buf.is_ok()) {
-        std::fprintf(stderr, "error: %s\n", buf.status().to_string().c_str());
-        return 2;
-      }
-      bufs[r] = buf.value();
-      in[r].resize(count);
-      for (double& x : in[r]) x = rng.next_double() * 2.0 - 1.0;
-      rt.write(bufs[r], 0, std::as_bytes(std::span(in[r])));
-    }
-    const TimePs t0 = sched.now();
-    for (std::uint32_t r = 0; r < opt.nodes; ++r) {
-      sim::spawn([](coll::Communicator& c, api::Buffer b, std::uint32_t rank,
-                    std::uint64_t n, Status& out) -> sim::Task<> {
-        out = co_await c.allreduce_sum(rank, b, 0, n);
-      }(comm, bufs[r], r, count, st[r]));
-    }
-    sched.run();
-    elapsed = sched.now() - t0;
-
-    // Every rank must agree bitwise, and the agreed vector must match a
-    // host-side reference sum (different fold order, hence the epsilon).
-    std::vector<double> out0(count);
-    rt.read(bufs[0], 0, std::as_writable_bytes(std::span(out0)));
-    verified = true;
-    for (std::uint32_t r = 1; r < opt.nodes; ++r) {
-      std::vector<double> o(count);
-      rt.read(bufs[r], 0, std::as_writable_bytes(std::span(o)));
-      verified = verified &&
-                 std::memcmp(o.data(), out0.data(), payload) == 0;
-    }
-    double max_err = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      double ref = 0;
-      for (const auto& v : in) ref += v[i];
-      max_err = std::max(max_err, std::fabs(out0[i] - ref));
-    }
-    verified = verified && max_err < 1e-9 * opt.nodes;
-  } else {  // halo
-    const std::uint64_t row = opt.size;
-    if (row > comm.config().pipeline_seg_bytes) {
-      std::fprintf(stderr,
-                   "error: halo row (%llu bytes) must fit one staging slot "
-                   "(<= %llu bytes)\n",
-                   static_cast<unsigned long long>(row),
-                   static_cast<unsigned long long>(
-                       comm.config().pipeline_seg_bytes));
-      return 2;
-    }
-    payload = 2 * row;  // both boundary rows leave every rank
-    // Slab layout: [recv_from_prev][send_to_prev][send_to_next]
-    // [recv_from_next], with recognizable per-rank row patterns.
-    auto row_byte = [](std::uint32_t rank, bool to_next) {
-      return std::byte{
-          static_cast<unsigned char>(0x10 + rank * 2 + (to_next ? 1 : 0))};
-    };
-    std::vector<api::Buffer> bufs(opt.nodes);
-    for (std::uint32_t r = 0; r < opt.nodes; ++r) {
-      bufs[r] = rt.alloc_gpu(r, 0, 4 * row).value();
-      rt.write(bufs[r], 1 * row,
-               std::vector<std::byte>(row, row_byte(r, false)));
-      rt.write(bufs[r], 2 * row,
-               std::vector<std::byte>(row, row_byte(r, true)));
-    }
-    const TimePs t0 = sched.now();
-    for (std::uint32_t r = 0; r < opt.nodes; ++r) {
-      sim::spawn([](coll::Communicator& c, api::Buffer b, std::uint32_t rank,
-                    std::uint64_t rb, Status& out) -> sim::Task<> {
-        out = co_await c.neighbor_exchange(
-            rank, coll::HaloSpec{.buf = b,
-                                 .send_to_next_off = 2 * rb,
-                                 .send_to_prev_off = 1 * rb,
-                                 .recv_from_prev_off = 0,
-                                 .recv_from_next_off = 3 * rb,
-                                 .bytes = rb});
-      }(comm, bufs[r], r, row, st[r]));
-    }
-    sched.run();
-    elapsed = sched.now() - t0;
-
-    verified = true;
-    for (std::uint32_t r = 0; r < opt.nodes; ++r) {
-      const std::uint32_t prev = (r + opt.nodes - 1) % opt.nodes;
-      const std::uint32_t next = (r + 1) % opt.nodes;
-      std::vector<std::byte> got(row);
-      rt.read(bufs[r], 0, got);  // from prev: prev's to_next row
-      verified = verified &&
-                 got == std::vector<std::byte>(row, row_byte(prev, true));
-      rt.read(bufs[r], 3 * row, got);  // from next: next's to_prev row
-      verified = verified &&
-                 got == std::vector<std::byte>(row, row_byte(next, false));
-    }
+  auto setup = workload::Workload::setup(rt, kind, workload::Placement::kGpu0,
+                                         opt.size, /*seed=*/1, cfg);
+  if (!setup.is_ok()) {
+    std::fprintf(stderr, "error: %s\n", setup.status().to_string().c_str());
+    return 2;
   }
+  workload::Workload& work = setup.value();
+  const TimePs t0 = sched.now();
+  work.spawn();
+  sched.run();
+  const TimePs elapsed = sched.now() - t0;
 
   bool all_ok = true;
-  for (std::uint32_t r = 0; r < opt.nodes; ++r) {
-    if (!st[r].is_ok()) {
-      all_ok = false;
-      std::printf("rank %u: %s\n", r, st[r].to_string().c_str());
-    }
+  for (const workload::OpSlot& slot : work.slots()) {
+    if (slot.done && slot.status.is_ok()) continue;
+    all_ok = false;
+    std::printf("rank %u: %s\n", slot.rank,
+                slot.done ? slot.status.to_string().c_str()
+                          : "never completed");
   }
+  const Status verified = work.verify();
+  const std::uint64_t payload = work.payload_bytes();
   const std::uint64_t aggregate = payload * opt.nodes;
   std::printf("%s: %s/rank in %s  (%s aggregate, %.3f GB/s)  verify: %s\n",
-              opt.workload.c_str(), units::format_size(payload).c_str(),
+              workload::to_string(kind), units::format_size(payload).c_str(),
               units::format_time(elapsed).c_str(),
               units::format_size(aggregate).c_str(),
               units::gbytes_per_second(aggregate, elapsed),
-              verified ? "OK" : "FAILED");
-  const coll::CollMetrics& m = comm.metrics();
-  std::printf("coll: eager_ops=%llu ring_ops=%llu bytes=%llu "
-              "staged_d2h=%llu host_carry=%llu put_retries=%llu\n",
-              static_cast<unsigned long long>(m.eager_ops),
-              static_cast<unsigned long long>(m.ring_ops),
-              static_cast<unsigned long long>(m.bytes),
-              static_cast<unsigned long long>(m.staged_d2h_bytes),
-              static_cast<unsigned long long>(m.host_carry_bytes),
-              static_cast<unsigned long long>(m.put_retries));
+              verified.is_ok() ? "OK" : "FAILED");
+  if (!verified.is_ok()) std::printf("  %s\n", verified.message().c_str());
+  const coll::Communicator* comm = work.communicator();
+  if (comm != nullptr) {
+    const coll::CollMetrics& m = comm->metrics();
+    std::printf("coll: eager_ops=%llu ring_ops=%llu bytes=%llu "
+                "staged_d2h=%llu host_carry=%llu put_retries=%llu\n",
+                static_cast<unsigned long long>(m.eager_ops),
+                static_cast<unsigned long long>(m.ring_ops),
+                static_cast<unsigned long long>(m.bytes),
+                static_cast<unsigned long long>(m.staged_d2h_bytes),
+                static_cast<unsigned long long>(m.host_carry_bytes),
+                static_cast<unsigned long long>(m.put_retries));
+  }
 
   if (int rc = report(opt, rt.cluster(), sched.now(), nullptr,
-                      [&comm](obs::MetricRegistry& reg) {
-                        comm.export_metrics(reg);
+                      [&](obs::MetricRegistry& reg) {
+                        comm != nullptr ? comm->export_metrics(reg)
+                                        : rt.export_metrics(reg);
                       });
       rc != 0) {
     return rc;
   }
-  if (all_ok && verified) return 0;
+  if (all_ok && verified.is_ok()) return 0;
   return opt.fault_plan.empty() ? 1 : 0;
 }
 
@@ -464,7 +362,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
     return 2;
   }
-  if (!opt.workload.empty()) return run_workload(opt, config);
+  if (opt.workload) return run_workload(opt, config);
 
   sim::Scheduler sched;
   fabric::SubCluster tca(sched, config);
